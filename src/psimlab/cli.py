@@ -334,7 +334,7 @@ def cmd_eval(args):
     report = {
         "metric": "phase-map comparison",
         "params": {"ssim_window": 11, "sigma": 1.5, "k1": 0.01, "k2": 0.03,
-                   "dynamic_range": "truth peak-to-peak", "mask": args.mask},
+                   "dynamic_range": "truth peak-to-peak"},
         "mean_ssim_full": float(np.mean([e["ssim_full"] for e in per_sample])),
         "mean_ssim_foreground": float(np.mean(
             [e["ssim_foreground"] for e in per_sample])),
@@ -362,11 +362,10 @@ def build_parser():
         if checkpoint is not None:
             p.add_argument("--checkpoint", required=(checkpoint == "required"))
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("simulate", help="synthesize interferogram stacks")
     common(p, config=True)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="classical five-step reconstruction")
@@ -377,6 +376,7 @@ def build_parser():
     common(p, config=True, data=True, checkpoint="optional")
     p.add_argument("--mode", choices=("frames", "phase"))
     p.add_argument("--steps", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="single-shot inference")
@@ -388,7 +388,6 @@ def build_parser():
     common(p, data=True)
     p.add_argument("--pred", help="directory with predictions "
                    "(defaults to --data)")
-    p.add_argument("--mask", choices=("none", "foreground"), default="none")
     p.add_argument("--profile-row", type=int, default=None)
     p.set_defaults(func=cmd_eval)
     return parser
@@ -405,6 +404,9 @@ def main(argv=None):
     except OSError as exc:
         log.error("I/O failure: %s", exc)
         return EXIT_IO
+    except ValueError as exc:
+        log.error("bad input data: %s", exc)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

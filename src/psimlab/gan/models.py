@@ -26,7 +26,7 @@ def _tag_names(block: Sequential, tag: str):
         layer.name = f"{tag}.{layer.name}"
 
 
-class UNetGenerator:
+class UNetGenerator(Sequential):
     def __init__(self, depth=4, base=16, in_ch=1, out_ch=1, skips=True,
                  rng=None):
         if depth < 1:
@@ -73,17 +73,8 @@ class UNetGenerator:
             Conv2d(head_in, out_ch, 3, stride=1, padding=1, rng=rng),
             Tanh())
         _tag_names(self.head, "g_head")
-        self._blocks = self.downs + self.ups + [self.head]
-
-    def parameters(self):
-        return [p for blk in self._blocks for p in blk.parameters()]
-
-    def gradients(self):
-        return [g for blk in self._blocks for g in blk.gradients()]
-
-    def zero_grad(self):
-        for _, g in self.gradients():
-            g[...] = 0.0
+        # block order is the parameter, checkpoint and Adam-key order
+        self.layers = self.downs + self.ups + [self.head]
 
     def forward(self, x):
         side = x.shape[2]
@@ -116,7 +107,7 @@ class UNetGenerator:
         return g
 
 
-class PatchDiscriminator:
+class PatchDiscriminator(Sequential):
     def __init__(self, blocks=3, base=16, in_ch=2, rng=None):
         if blocks < 1:
             raise ValueError("need at least one block")
@@ -135,15 +126,7 @@ class PatchDiscriminator:
         layers.append(Conv2d(ch, 1, 3, stride=1, padding=1, rng=rng))
         self.net = Sequential(*layers)
         _tag_names(self.net, "d")
-
-    def parameters(self):
-        return self.net.parameters()
-
-    def gradients(self):
-        return self.net.gradients()
-
-    def zero_grad(self):
-        self.net.zero_grad()
+        self.layers = [self.net]
 
     def forward(self, condition, candidate):
         """Patch logits for a (condition, candidate) image pair."""

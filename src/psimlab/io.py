@@ -28,11 +28,17 @@ def read_pfm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         if fh.readline().strip() != b"Pf":
             raise ValueError(f"{path}: not a grayscale PFM file")
-        width, height = map(int, fh.readline().split())
-        scale = float(fh.readline())
-        dtype = "<f4" if scale < 0 else ">f4"
-        raw = np.frombuffer(fh.read(4 * width * height), dtype=dtype)
-    return np.flipud(raw.reshape(height, width)).astype(np.float64)
+        try:
+            width, height = map(int, fh.readline().split())
+            scale = float(fh.readline())
+        except ValueError:
+            raise ValueError(f"{path}: malformed PFM header") from None
+        raw = fh.read(4 * width * height)
+    if len(raw) != 4 * width * height:
+        raise ValueError(f"{path}: truncated PFM, {len(raw)} of "
+                         f"{4 * width * height} data bytes")
+    data = np.frombuffer(raw, dtype="<f4" if scale < 0 else ">f4")
+    return np.flipud(data.reshape(height, width)).astype(np.float64)
 
 
 def write_sidecar(pfm_path, role: str, units: str, **extra):

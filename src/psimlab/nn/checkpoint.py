@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -37,33 +38,35 @@ def save_checkpoint(path, params, meta=None):
 def load_checkpoint(path):
     """Returns (list of (name, array), meta dict)."""
     with open(path, "rb") as fh:
-        hlen = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        prefix = fh.read(8)
+        hlen = int.from_bytes(prefix, "little")
+        if len(prefix) < 8 or hlen > os.fstat(fh.fileno()).st_size - 8:
+            raise CheckpointError(f"{path}: truncated header")
+        header_bytes = fh.read(hlen)
         blob = fh.read()
-    if header.get("format") != "psimlab-checkpoint-v1":
+    try:
+        header = json.loads(header_bytes.decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"{path}: undecodable header: {exc}") from None
+    if not isinstance(header, dict) or \
+            header.get("format") != "psimlab-checkpoint-v1":
         raise CheckpointError(f"{path}: unknown checkpoint format")
-    if hashlib.sha256(blob).hexdigest() != header["blob_sha256"]:
+    try:
+        digest = header["blob_sha256"]
+        layout = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+        meta = header["meta"]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc!r}") from None
+    if hashlib.sha256(blob).hexdigest() != digest:
         raise CheckpointError(f"{path}: parameter blob hash mismatch")
     params = []
     offset = 0
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
+    for name, shape in layout:
         count = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(blob, dtype="<f8", count=count,
                             offset=offset).reshape(shape).copy()
-        params.append((entry["name"], arr))
+        params.append((name, arr))
         offset += count * 8
     if offset != len(blob):
         raise CheckpointError(f"{path}: blob length does not match header")
-    return params, header["meta"]
-
-
-def restore_into(model, params):
-    """Copy checkpoint arrays into a model with matching parameter layout."""
-    own = model.parameters()
-    if len(own) != len(params):
-        raise CheckpointError("parameter count mismatch")
-    for (name, dst), (cname, src) in zip(own, params):
-        if name != cname or dst.shape != src.shape:
-            raise CheckpointError(f"parameter mismatch: {name} vs {cname}")
-        dst[...] = src
+    return params, meta

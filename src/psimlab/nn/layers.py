@@ -17,12 +17,15 @@ WEIGHT_INIT_SIGMA = 0.02
 
 class Layer:
     name = "layer"
+    # attribute names of the parameters; the gradient of each is "g" + name
+    params = ()
 
     def parameters(self):
-        return []
+        return [(f"{self.name}.{p}", getattr(self, p)) for p in self.params]
 
     def gradients(self):
-        return []
+        return [(f"{self.name}.{p}", getattr(self, "g" + p))
+                for p in self.params]
 
     def zero_grad(self):
         for _, g in self.gradients():
@@ -35,86 +38,59 @@ class Layer:
         raise NotImplementedError
 
 
-class Conv2d(Layer):
+class _Conv(Layer):
+    """Body shared by ``Conv2d`` and ``ConvTranspose2d``.  Kernels are looked
+    up in ``ops`` at call time, so wrappers installed there see every call."""
+
+    transposed = False
+    params = ("w", "b")
+
     def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, rng=None,
                  bias=True):
         self.stride = stride
         self.padding = padding
         # bias=False for convs feeding a normalization layer, where a bias
         # would be cancelled exactly and its gradient structurally zero
-        self.has_bias = bias
+        if not bias:
+            self.params = ("w",)
         rng = rng or np.random.default_rng(0)
-        self.w = rng.normal(0.0, WEIGHT_INIT_SIGMA, (out_ch, in_ch, kernel, kernel))
+        layout = (in_ch, out_ch) if self.transposed else (out_ch, in_ch)
+        self.w = rng.normal(0.0, WEIGHT_INIT_SIGMA, layout + (kernel, kernel))
         self.b = np.zeros(out_ch)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
-        self.name = f"conv{kernel}x{kernel}s{stride}_{in_ch}to{out_ch}"
-
-    def parameters(self):
-        out = [(self.name + ".w", self.w)]
-        if self.has_bias:
-            out.append((self.name + ".b", self.b))
-        return out
-
-    def gradients(self):
-        out = [(self.name + ".w", self.gw)]
-        if self.has_bias:
-            out.append((self.name + ".b", self.gb))
-        return out
+        prefix = "convT" if self.transposed else "conv"
+        self.name = f"{prefix}{kernel}x{kernel}s{stride}_{in_ch}to{out_ch}"
 
     def forward(self, x):
         self.x = x
-        y = ops.conv2d_forward(x, self.w, self.b, self.stride, self.padding)
+        op = (ops.conv_transpose2d_forward if self.transposed
+              else ops.conv2d_forward)
+        y = op(x, self.w, self.b, self.stride, self.padding)
         return check_finite(y, self.name)
 
     def backward(self, grad_y):
-        gx, gw, gb = ops.conv2d_backward(self.x, self.w, grad_y,
-                                         self.stride, self.padding)
+        op = (ops.conv_transpose2d_backward if self.transposed
+              else ops.conv2d_backward)
+        gx, gw, gb = op(self.x, self.w, grad_y, self.stride, self.padding)
         self.gw += gw
         self.gb += gb
         return gx
 
 
-class ConvTranspose2d(Layer):
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, rng=None,
-                 bias=True):
-        self.stride = stride
-        self.padding = padding
-        self.has_bias = bias
-        rng = rng or np.random.default_rng(0)
-        self.w = rng.normal(0.0, WEIGHT_INIT_SIGMA, (in_ch, out_ch, kernel, kernel))
-        self.b = np.zeros(out_ch)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
-        self.name = f"convT{kernel}x{kernel}s{stride}_{in_ch}to{out_ch}"
+class Conv2d(_Conv):
+    """Cross-correlation; weight layout (out, in, kh, kw)."""
 
-    def parameters(self):
-        out = [(self.name + ".w", self.w)]
-        if self.has_bias:
-            out.append((self.name + ".b", self.b))
-        return out
 
-    def gradients(self):
-        out = [(self.name + ".w", self.gw)]
-        if self.has_bias:
-            out.append((self.name + ".b", self.gb))
-        return out
+class ConvTranspose2d(_Conv):
+    """Adjoint of ``Conv2d``; weight layout (in, out, kh, kw)."""
 
-    def forward(self, x):
-        self.x = x
-        y = ops.conv_transpose2d_forward(x, self.w, self.b,
-                                         self.stride, self.padding)
-        return check_finite(y, self.name)
-
-    def backward(self, grad_y):
-        gx, gw, gb = ops.conv_transpose2d_backward(self.x, self.w, grad_y,
-                                                   self.stride, self.padding)
-        self.gw += gw
-        self.gb += gb
-        return gx
+    transposed = True
 
 
 class InstanceNorm(Layer):
+    params = ("gamma", "beta")
+
     def __init__(self, channels, eps=1e-5):
         self.eps = eps
         self.gamma = np.ones(channels)
@@ -122,14 +98,6 @@ class InstanceNorm(Layer):
         self.ggamma = np.zeros_like(self.gamma)
         self.gbeta = np.zeros_like(self.beta)
         self.name = f"inorm_{channels}"
-
-    def parameters(self):
-        return [(self.name + ".gamma", self.gamma),
-                (self.name + ".beta", self.beta)]
-
-    def gradients(self):
-        return [(self.name + ".gamma", self.ggamma),
-                (self.name + ".beta", self.gbeta)]
 
     def forward(self, x):
         y, self.cache = ops.instance_norm_forward(x, self.gamma, self.beta,

@@ -21,83 +21,82 @@ def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
     return arr
 
 
+def _taps(kernel, hw, stride):
+    """(u, v, window): where tap (u, v) lands as the kernel visits ``hw``."""
+    for u, v in np.ndindex(*kernel):
+        yield u, v, (..., slice(u, u + (hw[0] - 1) * stride + 1, stride),
+                     slice(v, v + (hw[1] - 1) * stride + 1, stride))
+
+
+def _correlate(src, w, out_hw, stride):
+    """Gather: ``out[n,o] = sum_{c,u,v} src[n,c,win(u,v)] w[o,c,u,v]``."""
+    out = np.zeros((len(src), len(w), *out_hw))
+    for u, v, win in _taps(w.shape[2:], out_hw, stride):
+        out += np.einsum('nchw,oc->nohw', src[win], w[:, :, u, v],
+                         optimize=True)
+    return out
+
+
+def _correlate_adjoint(g, w, src_hw, stride):
+    """Scatter: adjoint of ``_correlate`` in ``src``, onto ``src_hw``."""
+    out = np.zeros((len(g), w.shape[1], *src_hw))
+    for u, v, win in _taps(w.shape[2:], g.shape[2:], stride):
+        out[win] += np.einsum('nohw,oc->nchw', g, w[:, :, u, v],
+                              optimize=True)
+    return out
+
+
+def _correlate_weight_grad(src, g, kernel, stride):
+    """Adjoint of ``_correlate`` in ``w``, laid out like ``w``."""
+    grad_w = np.zeros((g.shape[1], src.shape[1], *kernel))
+    for u, v, win in _taps(kernel, g.shape[2:], stride):
+        grad_w[:, :, u, v] = np.einsum('nohw,nchw->oc', g, src[win],
+                                       optimize=True)
+    return grad_w
+
+
+def _pad(x, p):
+    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+
+
+def _crop(x, p):
+    return x[..., p:x.shape[2] - p, p:x.shape[3] - p]
+
+
 def conv2d_forward(x, w, b, stride=1, padding=0):
-    n, c, h, width = x.shape
-    out_c, in_c, kh, kw = w.shape
-    if in_c != c:
-        raise ValueError(f"input has {c} channels, kernel expects {in_c}")
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (width + 2 * padding - kw) // stride + 1
-    if ho < 1 or wo < 1:
+    if x.shape[1] != w.shape[1]:
+        raise ValueError(f"input has {x.shape[1]} channels, "
+                         f"kernel expects {w.shape[1]}")
+    out_hw = [(s + 2 * padding - k) // stride + 1
+              for s, k in zip(x.shape[2:], w.shape[2:])]
+    if min(out_hw) < 1:
         raise ValueError("kernel larger than padded input")
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    y = np.zeros((n, out_c, ho, wo))
-    for u in range(kh):
-        for v in range(kw):
-            xs = xp[:, :, u:u + (ho - 1) * stride + 1:stride,
-                    v:v + (wo - 1) * stride + 1:stride]
-            y += np.einsum('nchw,oc->nohw', xs, w[:, :, u, v], optimize=True)
+    y = _correlate(_pad(x, padding), w, out_hw, stride)
     return y + b[None, :, None, None]
 
 
 def conv2d_backward(x, w, grad_y, stride=1, padding=0):
-    n, c, h, width = x.shape
-    out_c, _, kh, kw = w.shape
-    ho, wo = grad_y.shape[2], grad_y.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    grad_xp = np.zeros_like(xp)
-    grad_w = np.zeros_like(w)
-    for u in range(kh):
-        for v in range(kw):
-            sl = (slice(None), slice(None),
-                  slice(u, u + (ho - 1) * stride + 1, stride),
-                  slice(v, v + (wo - 1) * stride + 1, stride))
-            grad_w[:, :, u, v] = np.einsum('nohw,nchw->oc', grad_y, xp[sl],
-                                           optimize=True)
-            grad_xp[sl] += np.einsum('nohw,oc->nchw', grad_y, w[:, :, u, v],
-                                     optimize=True)
-    grad_x = grad_xp[:, :, padding:padding + h, padding:padding + width]
-    grad_b = grad_y.sum(axis=(0, 2, 3))
-    return grad_x, grad_w, grad_b
+    xp = _pad(x, padding)
+    grad_xp = _correlate_adjoint(grad_y, w, xp.shape[2:], stride)
+    grad_w = _correlate_weight_grad(xp, grad_y, w.shape[2:], stride)
+    return _crop(grad_xp, padding), grad_w, grad_y.sum(axis=(0, 2, 3))
 
 
 def conv_transpose2d_forward(x, w, b, stride=1, padding=0):
-    n, c, h, width = x.shape
-    in_c, out_c, kh, kw = w.shape
-    if in_c != c:
-        raise ValueError(f"input has {c} channels, kernel expects {in_c}")
-    hf = (h - 1) * stride + kh
-    wf = (width - 1) * stride + kw
-    yf = np.zeros((n, out_c, hf, wf))
-    for u in range(kh):
-        for v in range(kw):
-            yf[:, :, u:u + (h - 1) * stride + 1:stride,
-               v:v + (width - 1) * stride + 1:stride] += \
-                np.einsum('nchw,co->nohw', x, w[:, :, u, v], optimize=True)
-    if padding:
-        yf = yf[:, :, padding:hf - padding, padding:wf - padding]
-    return yf + b[None, :, None, None]
+    """Adjoint of ``conv2d`` in its input, cropped by ``padding``."""
+    if x.shape[1] != w.shape[0]:
+        raise ValueError(f"input has {x.shape[1]} channels, "
+                         f"kernel expects {w.shape[0]}")
+    full_hw = [(s - 1) * stride + k for s, k in zip(x.shape[2:], w.shape[2:])]
+    y = _crop(_correlate_adjoint(x, w, full_hw, stride), padding)
+    return y + b[None, :, None, None]
 
 
 def conv_transpose2d_backward(x, w, grad_y, stride=1, padding=0):
-    n, c, h, width = x.shape
-    in_c, out_c, kh, kw = w.shape
-    hf = (h - 1) * stride + kh
-    wf = (width - 1) * stride + kw
-    grad_yf = np.zeros((n, out_c, hf, wf))
-    grad_yf[:, :, padding:hf - padding, padding:wf - padding] = grad_y
-    grad_x = np.zeros_like(x)
-    grad_w = np.zeros_like(w)
-    for u in range(kh):
-        for v in range(kw):
-            gys = grad_yf[:, :, u:u + (h - 1) * stride + 1:stride,
-                          v:v + (width - 1) * stride + 1:stride]
-            grad_x += np.einsum('nohw,co->nchw', gys, w[:, :, u, v],
-                                optimize=True)
-            grad_w[:, :, u, v] = np.einsum('nchw,nohw->co', x, gys,
-                                           optimize=True)
-    grad_b = grad_y.sum(axis=(0, 2, 3))
-    return grad_x, grad_w, grad_b
+    grad_yf = _pad(grad_y, padding)
+    grad_x = _correlate(grad_yf, w, x.shape[2:], stride)
+    grad_w = _correlate_weight_grad(grad_yf, x, w.shape[2:], stride)
+    return grad_x, grad_w, grad_y.sum(axis=(0, 2, 3))
 
 
 def leaky_relu_forward(x, alpha=0.2):

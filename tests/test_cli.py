@@ -1,11 +1,12 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from psimlab import PhaseMap, io
-from psimlab.cli import main
+from psimlab.cli import build_parser, main
 
 TINY_SPEC = {"mode": "phase", "depth": 2, "base": 4,
              "disc_blocks": 2, "disc_base": 4, "image_side": 16}
@@ -115,6 +116,25 @@ class TestReconstruct:
         assert main(["reconstruct", "--data", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "out")]) == 3
 
+    def corrupt_frame(self, sim_dir, tmp_path, mutate):
+        data = tmp_path / "data"
+        shutil.copytree(sim_dir / "sample_00000", data / "sample_00000")
+        frame = data / "sample_00000" / "frame_3.pfm"
+        frame.write_bytes(mutate(frame.read_bytes()))
+        return main(["reconstruct", "--data", str(data),
+                     "--out", str(tmp_path / "out")])
+
+    def test_truncated_frame_exits_4(self, sim_dir, tmp_path, caplog):
+        assert self.corrupt_frame(sim_dir, tmp_path,
+                                  lambda raw: raw[:-3]) == 4
+        assert "truncated PFM" in caplog.text
+
+    def test_nan_frame_exits_4(self, sim_dir, tmp_path, caplog):
+        nan = np.array([np.nan], dtype="<f4").tobytes()
+        assert self.corrupt_frame(sim_dir, tmp_path,
+                                  lambda raw: raw[:-4] + nan) == 4
+        assert "NaN" in caplog.text
+
 
 class TestTrainInfer:
     def train_cfg(self, tmp_path, **extra):
@@ -200,6 +220,22 @@ class TestTrainInfer:
                      "--data", str(sim_dir),
                      "--out", str(tmp_path / "p")]) == 6
 
+    def test_truncated_checkpoint_header_exits_6(self, sim_dir, tmp_path):
+        run = tmp_path / "run"
+        main(["train", "--config", self.train_cfg(tmp_path),
+              "--data", str(sim_dir), "--out", str(run)])
+        ckpt = run / "checkpoint.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:100])
+        assert main(["infer", "--checkpoint", str(ckpt),
+                     "--data", str(sim_dir),
+                     "--out", str(tmp_path / "p")]) == 6
+
+    def test_too_few_samples_to_split_exits_4(self, tmp_path):
+        # ceil(0.8 * 3) == 3 leaves no test sample
+        data = simulate(tmp_path / "data", tmp_path, count=3)
+        assert main(["train", "--config", self.train_cfg(tmp_path),
+                     "--data", str(data), "--out", str(tmp_path / "o")]) == 4
+
     def test_bad_spec_exits_2(self, sim_dir, tmp_path):
         cfg = write_config(tmp_path / "c.json",
                            {"spec": {"mode": "telepathy"}})
@@ -254,3 +290,32 @@ class TestEval:
         (pred / "sample_00000" / "phase_pred.pfm").unlink()
         assert main(["eval", "--data", str(data), "--pred", str(pred),
                      "--out", str(tmp_path / "e")]) == 4
+
+
+class TestFlags:
+    ARGS = {
+        "simulate": ["--config", "c.json", "--out", "o"],
+        "reconstruct": ["--data", "d", "--out", "o"],
+        "train": ["--config", "c.json", "--data", "d", "--out", "o"],
+        "infer": ["--checkpoint", "c.ckpt", "--data", "d", "--out", "o"],
+        "eval": ["--data", "d", "--out", "o"],
+    }
+
+    @pytest.mark.parametrize("command,flag", [
+        *((c, ["--workers", "2"]) for c in ARGS),
+        ("reconstruct", ["--seed", "1"]),
+        ("infer", ["--seed", "1"]),
+        ("eval", ["--seed", "1"]),
+        ("eval", ["--mask", "foreground"]),
+    ])
+    def test_removed_flag_is_rejected(self, command, flag):
+        argv = [command] + self.ARGS[command]
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + flag)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_seed_is_kept_where_read(self, command):
+        argv = [command] + self.ARGS[command] + ["--seed", "3"]
+        assert build_parser().parse_args(argv).seed == 3

@@ -193,6 +193,32 @@ class TestModels:
             [n for n, _ in disc.parameters()]
         assert len(names) == len(set(names))
 
+    def test_parameter_layout_is_pinned(self):
+        # parameter order is the checkpoint and Adam-key order: renaming or
+        # reordering breaks every saved checkpoint
+        gen = [
+            ("down0.conv4x4s2_1to4.w", (4, 1, 4, 4)),
+            ("down0.conv4x4s2_1to4.b", (4,)),
+            ("down1.conv4x4s2_4to8.w", (8, 4, 4, 4)),
+            ("down1.inorm_8.gamma", (8,)), ("down1.inorm_8.beta", (8,)),
+            ("up0.convT4x4s2_8to4.w", (8, 4, 4, 4)),
+            ("up0.inorm_4.gamma", (4,)), ("up0.inorm_4.beta", (4,)),
+            ("up1.convT4x4s2_8to4.w", (8, 4, 4, 4)),
+            ("up1.inorm_4.gamma", (4,)), ("up1.inorm_4.beta", (4,)),
+            ("g_head.conv3x3s1_5to1.w", (1, 5, 3, 3)),
+            ("g_head.conv3x3s1_5to1.b", (1,))]
+        disc = [
+            ("d.conv4x4s2_2to4.w", (4, 2, 4, 4)),
+            ("d.conv4x4s2_2to4.b", (4,)),
+            ("d.conv4x4s2_4to8.w", (8, 4, 4, 4)),
+            ("d.inorm_8.gamma", (8,)), ("d.inorm_8.beta", (8,)),
+            ("d.conv3x3s1_8to1.w", (1, 8, 3, 3)),
+            ("d.conv3x3s1_8to1.b", (1,))]
+        for net, layout in ((UNetGenerator(depth=2, base=4), gen),
+                            (PatchDiscriminator(blocks=2, base=4), disc)):
+            assert [(n, p.shape) for n, p in net.parameters()] == layout
+            assert [(n, g.shape) for n, g in net.gradients()] == layout
+
     def test_discriminator_patch_grid(self):
         disc = PatchDiscriminator(blocks=3, base=16,
                                   rng=np.random.default_rng(0))

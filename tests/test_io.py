@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,30 @@ class TestCheckpoint:
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="hash"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def framed(header):
+        raw = json.dumps(header).encode()
+        return len(raw).to_bytes(8, "little") + raw
+
+    @pytest.mark.parametrize("mangle", [
+        lambda raw: raw[:5],  # short length prefix
+        lambda raw: raw[:40],  # short header
+        lambda raw: raw[:8] + b"\xff" + raw[9:],  # header not UTF-8
+        lambda raw: raw[:8] + b"[" + raw[9:],  # header not JSON
+        lambda raw: TestCheckpoint.framed([1, 2]),
+        lambda raw: TestCheckpoint.framed(
+            {"format": "psimlab-checkpoint-v1", "meta": {}}),
+        lambda raw: TestCheckpoint.framed(
+            {"format": "psimlab-checkpoint-v1", "meta": {},
+             "blob_sha256": "", "params": [{"shape": [2]}]}),
+    ])
+    def test_malformed_header_raises_checkpoint_error(self, tmp_path, mangle):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, self.params())
+        path.write_bytes(mangle(path.read_bytes()))
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
     def test_deterministic_bytes(self, tmp_path):
