@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success, 2 config error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -88,6 +89,16 @@ def _write_manifest(out_dir, command, config_hash, seeds, inputs, outputs,
     tmp = path.with_suffix(".json.tmp")
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     tmp.replace(path)
+
+
+@contextlib.contextmanager
+def _timed(timings, stage):
+    """Add the seconds spent in the block to ``timings[stage]``."""
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        timings[stage] = timings.get(stage, 0.0) + time.monotonic() - start
 
 
 def _hash_obj(obj):
@@ -173,24 +184,29 @@ def cmd_reconstruct(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
+    timings = {}
     for d in _sample_dirs(args.data):
-        stack, meta = _load_stack(d)
+        with _timed(timings, "io"):
+            stack, meta = _load_stack(d)
         lambda0 = meta.get("lambda0_nm")
-        wrapped, quality, unwrapped, height = reconstruct_stack(stack, lambda0)
+        with _timed(timings, "compute"):
+            wrapped, quality, unwrapped, height = reconstruct_stack(stack,
+                                                                    lambda0)
         dest = out / d.name
-        dest.mkdir(exist_ok=True)
-        io.save_phase(dest / "phase_wrapped.pfm", wrapped)
-        io.save_phase(dest / "phase_unwrapped.pfm", unwrapped)
-        io.write_pfm(dest / "quality.pfm", quality.data)
-        io.write_sidecar(dest / "quality.pfm", role="quality",
-                         units="intensity")
-        if height is not None:
-            io.write_pfm(dest / "height.pfm", height.data)
-            io.write_sidecar(dest / "height.pfm", role="height", units="nm",
-                             lambda0_nm=lambda0)
+        with _timed(timings, "io"):
+            dest.mkdir(exist_ok=True)
+            io.save_phase(dest / "phase_wrapped.pfm", wrapped)
+            io.save_phase(dest / "phase_unwrapped.pfm", unwrapped)
+            io.write_pfm(dest / "quality.pfm", quality.data)
+            io.write_sidecar(dest / "quality.pfm", role="quality",
+                             units="intensity")
+            if height is not None:
+                io.write_pfm(dest / "height.pfm", height.data)
+                io.write_sidecar(dest / "height.pfm", role="height",
+                                 units="nm", lambda0_nm=lambda0)
         outputs.append(str(dest))
     _write_manifest(out, "reconstruct", "", {}, [str(args.data)], outputs,
-                    started, {})
+                    started, timings)
     return EXIT_OK
 
 
@@ -286,11 +302,13 @@ def cmd_eval(args):
     out.mkdir(parents=True, exist_ok=True)
     pred_root = Path(args.pred) if args.pred else Path(args.data)
     per_sample = []
+    timings = {}
     for d in _sample_dirs(args.data):
         truth_path = d / "phase_gt.pfm"
         if not truth_path.exists():
             raise CliError(EXIT_DATA, f"{d} has no phase_gt.pfm")
-        truth = io.load_phase(truth_path)
+        with _timed(timings, "io"):
+            truth = io.load_phase(truth_path)
         pred_dir = pred_root / d.name
         entry = {"sample": d.name}
 
@@ -301,34 +319,37 @@ def cmd_eval(args):
                 break
         if pred_path is None:
             raise CliError(EXIT_DATA, f"{pred_dir} has no predicted phase")
-        pred = io.load_phase(pred_path)
+        with _timed(timings, "io"):
+            pred = io.load_phase(pred_path)
         if pred.shape != truth.shape:
             raise CliError(EXIT_DATA, f"{pred_path}: shape mismatch vs truth")
-        aligned = align_global_offset(pred, truth)
-        span = truth.data.max() - truth.data.min()
-        params = SsimParams(dynamic_range=span if span > 0 else 1.0)
-        score, _ = ssim(aligned.data, truth.data, params)
-        mask = foreground_mask(truth)
-        entry["ssim_full"] = score
-        entry["ssim_foreground"] = masked_mean_ssim(aligned.data, truth.data,
-                                                    mask, params)
-        entry["rms"] = rms_error(aligned.data, truth.data)
+        with _timed(timings, "compute"):
+            aligned = align_global_offset(pred, truth)
+            span = truth.data.max() - truth.data.min()
+            params = SsimParams(dynamic_range=span if span > 0 else 1.0)
+            score, ssim_map = ssim(aligned.data, truth.data, params)
+            mask = foreground_mask(truth)
+            entry["ssim_full"] = score
+            entry["ssim_foreground"] = masked_mean_ssim(
+                aligned.data, truth.data, mask, params, ssim_map=ssim_map)
+            entry["rms"] = rms_error(aligned.data, truth.data)
 
-        # per-hop frame errors when predicted frames sit next to real ones
-        hops = []
-        for k in range(2, 6):
-            pp = pred_dir / f"frame_{k}.pfm"
-            tp = d / f"frame_{k}.pfm"
-            if pp.exists() and tp.exists():
-                hops.append(float(np.mean(np.abs(io.read_pfm(pp)
-                                                 - io.read_pfm(tp)))))
-        if hops:
-            entry["hop_l1"] = hops
+        with _timed(timings, "io"):
+            # per-hop frame errors when predicted frames sit next to real ones
+            hops = []
+            for k in range(2, 6):
+                pp = pred_dir / f"frame_{k}.pfm"
+                tp = d / f"frame_{k}.pfm"
+                if pp.exists() and tp.exists():
+                    hops.append(float(np.mean(np.abs(io.read_pfm(pp)
+                                                     - io.read_pfm(tp)))))
+            if hops:
+                entry["hop_l1"] = hops
 
-        if args.profile_row is not None:
-            stack, _ = _load_stack(d)
-            profile = stitched_line_profile(stack, args.profile_row)
-            io.write_profile_csv(out / f"{d.name}_profile.csv", profile)
+            if args.profile_row is not None:
+                stack, _ = _load_stack(d)
+                profile = stitched_line_profile(stack, args.profile_row)
+                io.write_profile_csv(out / f"{d.name}_profile.csv", profile)
         per_sample.append(entry)
 
     report = {
@@ -341,10 +362,11 @@ def cmd_eval(args):
         "mean_rms": float(np.mean([e["rms"] for e in per_sample])),
         "per_image": per_sample,
     }
-    (out / "metrics.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with _timed(timings, "io"):
+        (out / "metrics.json").write_text(
+            json.dumps(report, indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "eval", "", {}, [str(args.data)],
-                    [str(out / "metrics.json")], started, {})
+                    [str(out / "metrics.json")], started, timings)
     return EXIT_OK
 
 

@@ -8,7 +8,8 @@ import numpy as np
 
 from ..image import Image, PhaseMap
 from ..nn.adam import AdamState, adam_step
-from ..nn.checkpoint import load_checkpoint, save_checkpoint
+from ..nn.checkpoint import (CheckpointError, load_checkpoint,
+                             save_checkpoint)
 from ..nn.ops import NumericError, sigmoid_forward
 from ..simulate import DEFAULT_SHIFTS, ForwardModelSpec, InterferogramStack
 from .data import denormalize, normalize
@@ -234,22 +235,40 @@ def save_gan(path, state: GanState):
 
 
 def load_gan(path) -> GanState:
+    """Restore a state written by ``save_gan``.
+
+    A checkpoint that passes its integrity checks but lacks a meta key, or
+    whose parameters are missing or shaped for another architecture, raises
+    ``CheckpointError``.
+    """
     entries, meta = load_checkpoint(path)
-    spec = GanSpec(**meta["spec"])
-    state = init_gan(spec, seed=meta["seed"], norm_info=meta["norm_info"])
-    state.step = meta["step"]
-    state.g_opt.t = meta["g_opt_t"]
-    state.d_opt.t = meta["d_opt_t"]
     by_name = dict(entries)
-    model_params = state.generator.parameters() + \
-        state.discriminator.parameters()
-    for name, dst in model_params:
-        dst[...] = by_name[name]
-    for prefix, opt, params in (("opt.g", state.g_opt,
-                                 state.generator.parameters()),
-                                ("opt.d", state.d_opt,
-                                 state.discriminator.parameters())):
-        for name, _ in params:
-            opt.m[name] = by_name[f"{prefix}.m.{name}"].copy()
-            opt.v[name] = by_name[f"{prefix}.v.{name}"].copy()
+
+    def stored(name, like):
+        arr = by_name[name]
+        if arr.shape != like.shape:
+            raise ValueError(f"{name} has shape {arr.shape}, "
+                             f"expected {like.shape}")
+        return arr
+
+    try:
+        spec = GanSpec(**meta["spec"])
+        state = init_gan(spec, seed=meta["seed"], norm_info=meta["norm_info"])
+        state.step = meta["step"]
+        state.g_opt.t = meta["g_opt_t"]
+        state.d_opt.t = meta["d_opt_t"]
+        model_params = state.generator.parameters() + \
+            state.discriminator.parameters()
+        for name, dst in model_params:
+            dst[...] = stored(name, dst)
+        for prefix, opt, params in (("opt.g", state.g_opt,
+                                     state.generator.parameters()),
+                                    ("opt.d", state.d_opt,
+                                     state.discriminator.parameters())):
+            for name, like in params:
+                opt.m[name] = stored(f"{prefix}.m.{name}", like).copy()
+                opt.v[name] = stored(f"{prefix}.v.{name}", like).copy()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: not a checkpoint of this GAN: {exc!r}") from None
     return state

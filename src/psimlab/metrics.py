@@ -6,17 +6,21 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy.ndimage import correlate1d
 
 from .image import PhaseMap
 from .simulate import InterferogramStack
 
 
-def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    """Normalized 2D Gaussian window (weights sum to 1)."""
+def _gaussian(size: int, sigma: float) -> np.ndarray:
     half = (size - 1) / 2.0
     x = np.arange(size, dtype=np.float64) - half
-    g = np.exp(-(x ** 2) / (2.0 * sigma ** 2))
+    return np.exp(-(x ** 2) / (2.0 * sigma ** 2))
+
+
+def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+    """Normalized 2D Gaussian window (weights sum to 1)."""
+    g = _gaussian(size, sigma)
     win = np.outer(g, g)
     return win / win.sum()
 
@@ -53,7 +57,10 @@ def ssim(a, b, params: SsimParams = None):
     """Classic windowed SSIM; returns (mean score, per-window SSIM map).
 
     Statistics are Gaussian-weighted within each fully-valid window; the mean
-    runs over valid windows only (no padding).
+    runs over valid windows only (no padding), and the map has shape
+    (H - n + 1, W - n + 1) for an n x n window.  The Gaussian window is the
+    outer product of its 1D taps, so each local mean is two n-tap passes,
+    one per axis (Wang et al., IEEE TIP 13(4), 2004).
     """
     a = _grid(a)
     b = _grid(b)
@@ -63,18 +70,23 @@ def ssim(a, b, params: SsimParams = None):
     n = params.window_size
     if a.shape[0] < n or a.shape[1] < n:
         raise ValueError(f"images must be at least {n}x{n}")
-    win = gaussian_window(n, params.sigma)
+    taps = _gaussian(n, params.sigma)
+    taps /= taps.sum()
+    rows = a.shape[0] - n + 1
+    cols = a.shape[1] - n + 1
+    # correlate1d centers the taps on index n // 2, so the window starting
+    # at pixel i is reported at i + n // 2
+    half = n // 2
 
-    wa = sliding_window_view(a, (n, n))
-    wb = sliding_window_view(b, (n, n))
-    mu_a = np.einsum('ijkl,kl->ij', wa, win)
-    mu_b = np.einsum('ijkl,kl->ij', wb, win)
-    e_aa = np.einsum('ijkl,kl->ij', wa * wa, win)
-    e_bb = np.einsum('ijkl,kl->ij', wb * wb, win)
-    e_ab = np.einsum('ijkl,kl->ij', wa * wb, win)
-    var_a = e_aa - mu_a ** 2
-    var_b = e_bb - mu_b ** 2
-    cov = e_ab - mu_a * mu_b
+    def local_mean(x):
+        x = correlate1d(x, taps, axis=0)[half:half + rows]
+        return correlate1d(x, taps, axis=1)[:, half:half + cols]
+
+    mu_a = local_mean(a)
+    mu_b = local_mean(b)
+    var_a = local_mean(a * a) - mu_a ** 2
+    var_b = local_mean(b * b) - mu_b ** 2
+    cov = local_mean(a * b) - mu_a * mu_b
 
     c1 = (params.k1 * params.dynamic_range) ** 2
     c2 = (params.k2 * params.dynamic_range) ** 2
@@ -124,12 +136,18 @@ def foreground_mask(truth: PhaseMap, fraction: float = 0.05) -> np.ndarray:
     return (t - lo) > fraction * span
 
 
-def masked_mean_ssim(a, b, mask: np.ndarray, params: SsimParams = None) -> float:
-    """Mean SSIM over windows whose center pixel is in the mask."""
-    score, ssim_map = ssim(a, b, params)
+def masked_mean_ssim(a, b, mask: np.ndarray, params: SsimParams = None,
+                     ssim_map: np.ndarray = None) -> float:
+    """Mean SSIM over windows whose center pixel is in the mask.
+
+    ``ssim_map`` is the map ``ssim(a, b, params)`` returns, when the caller
+    has computed it already.
+    """
+    if ssim_map is None:
+        _, ssim_map = ssim(a, b, params)
     params = params or SsimParams()
     half = params.window_size // 2
     centers = mask[half:half + ssim_map.shape[0], half:half + ssim_map.shape[1]]
     if not centers.any():
-        return score
+        return float(ssim_map.mean())
     return float(ssim_map[centers].mean())

@@ -80,12 +80,18 @@ def modulation_amplitude(stack: InterferogramStack) -> QualityMap:
 
 
 def unwrap_phase(wrapped: PhaseMap, quality: QualityMap) -> PhaseMap:
-    """Quality-guided flood-fill unwrapping.
+    """Quality-guided flood-fill unwrapping (Ghiglia & Pritt, 1998).
 
     Seeds at the highest-quality pixel (row-major tie-break), then grows the
     solved region by repeatedly popping the highest-quality frontier pixel and
-    assigning neighbor value + wrapped difference.  The seed keeps its wrapped
-    value, so output - input is a multiple of 2 pi everywhere.
+    assigning the value of its highest-quality solved neighbor (up, down,
+    left, right on ties) plus the wrapped difference.  The seed keeps its
+    wrapped value, so output - input is a multiple of 2 pi everywhere.
+
+    Every pixel is ranked once by (-quality, row-major index), so the
+    frontier heap holds plain int ranks and each pixel is pushed once.  The
+    loop runs over Python lists on a grid padded with a one-pixel blocked
+    border, so neighbor offsets need no bounds tests.
     """
     if not wrapped.wrapped:
         raise ValueError("input phase must be wrapped")
@@ -102,44 +108,69 @@ def unwrap_phase(wrapped: PhaseMap, quality: QualityMap) -> PhaseMap:
         return PhaseMap(out, wrapped=False,
                         meta={"seed_pixel": (0, 0), "seed_branch": 0})
 
-    seed_flat = int(np.argmax(q))  # argmax breaks ties row-major
-    sr, sc = divmod(seed_flat, cols)
-    out = np.empty_like(w)
-    solved = np.zeros(w.shape, dtype=bool)
-    queued = np.zeros(w.shape, dtype=bool)
-    out[sr, sc] = w[sr, sc]
-    solved[sr, sc] = True
+    # rank 0 is the argmax, ties broken row-major: the stable sort keeps the
+    # row-major order among equal qualities
+    order = np.argsort(-q.ravel(), kind="stable")
+    sr, sc = divmod(int(order[0]), cols)
 
-    # max-heap on quality; row-major index is the deterministic tie-break
+    # padded grid: pixel (r, c) sits in cell (r + 1) * stride + c + 1
+    stride = cols + 2
+    size = (rows + 2) * stride
+    r, c = np.divmod(order, cols)
+    cell = (r + 1) * stride + c + 1  # rank -> cell
+    rank = np.zeros(size, dtype=np.int64)
+    rank[cell] = np.arange(cell.size)
+    cell = cell.tolist()
+    rank = rank.tolist()
+    qual = np.pad(q, 1).ravel().tolist()
+    phase = np.pad(w, 1).ravel().tolist()
+    # state per cell: 0 free, 1 queued, 2 solved, 3 border
+    state = bytearray(np.pad(np.zeros(q.shape, np.uint8), 1,
+                             constant_values=3).tobytes())
+    out = [0.0] * size
+
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    offsets = (-stride, stride, -1, 1)  # up, down, left, right
+    seed = cell[0]
+    out[seed] = phase[seed]
+    state[seed] = 2
     frontier = []
+    for o in offsets:
+        if state[seed + o] == 0:
+            state[seed + o] = 1
+            heappush(frontier, rank[seed + o])
 
-    def push_neighbors(r, c):
-        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if 0 <= nr < rows and 0 <= nc < cols and not solved[nr, nc] \
-                    and not queued[nr, nc]:
-                queued[nr, nc] = True
-                heapq.heappush(frontier, (-q[nr, nc], nr * cols + nc))
-
-    push_neighbors(sr, sc)
     two_pi = 2.0 * math.pi
     while frontier:
-        _, flat = heapq.heappop(frontier)
-        r, c = divmod(flat, cols)
-        if solved[r, c]:
-            continue
-        best_q = -1.0
-        ref = None
-        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if 0 <= nr < rows and 0 <= nc < cols and solved[nr, nc]:
-                if q[nr, nc] > best_q:
-                    best_q = q[nr, nc]
-                    ref = (nr, nc)
-        d = w[r, c] - w[ref]
-        d -= two_pi * np.round(d / two_pi)
-        out[r, c] = out[ref] + d
-        solved[r, c] = True
-        push_neighbors(r, c)
+        p = cell[heappop(frontier)]
+        # the first solved neighbor wins unless a later one has higher
+        # quality; free neighbors join the frontier
+        best = -1.0
+        ref = -1
+        for o in offsets:
+            n = p + o
+            s = state[n]
+            if s == 2:
+                if qual[n] > best:
+                    best = qual[n]
+                    ref = n
+            elif s == 0:
+                state[n] = 1
+                heappush(frontier, rank[n])
+        # d - 2 pi * np.round(d / 2 pi) without the call: d lies in
+        # (-2 pi, 2 pi), so the multiple is -1, 0 or 1, and 0 at exactly
+        # +-0.5 (half to even)
+        d = phase[p] - phase[ref]
+        x = d / two_pi
+        if x > 0.5:
+            d -= two_pi
+        elif x < -0.5:
+            d += two_pi
+        out[p] = out[ref] + d
+        state[p] = 2
 
+    out = np.array(out).reshape(rows + 2, stride)[1:-1, 1:-1]
     return PhaseMap(out, wrapped=False,
                     meta={"seed_pixel": (sr, sc), "seed_branch": 0})
 

@@ -7,6 +7,9 @@ import pytest
 
 from psimlab import PhaseMap, io
 from psimlab.cli import build_parser, main
+from psimlab.metrics import (SsimParams, align_global_offset, foreground_mask,
+                             masked_mean_ssim, rms_error, ssim)
+from psimlab.nn.checkpoint import load_checkpoint, save_checkpoint
 
 TINY_SPEC = {"mode": "phase", "depth": 2, "base": 4,
              "disc_blocks": 2, "disc_base": 4, "image_side": 16}
@@ -103,6 +106,21 @@ class TestReconstruct:
         for name in ("phase_wrapped.pfm", "phase_unwrapped.pfm",
                      "quality.pfm", "height.pfm"):
             assert (d / name).exists()
+
+    def test_manifests_record_compute_and_io_seconds(self, sim_dir,
+                                                     tmp_path):
+        out = tmp_path / "recon"
+        ev = tmp_path / "eval"
+        assert main(["reconstruct", "--data", str(sim_dir),
+                     "--out", str(out)]) == 0
+        assert main(["eval", "--data", str(sim_dir), "--pred", str(out),
+                     "--out", str(ev)]) == 0
+        for run in (out, ev):
+            manifest = json.loads((run / "manifest.json").read_text())
+            timings = manifest["timings_s"]
+            assert sorted(timings) == ["compute", "io"]
+            assert all(v >= 0.0 for v in timings.values())
+            assert sum(timings.values()) <= manifest["wall_clock_s"] + 0.002
 
     def test_incomplete_stack_exits_4(self, tmp_path):
         d = tmp_path / "data" / "sample_00000"
@@ -230,6 +248,47 @@ class TestTrainInfer:
                      "--data", str(sim_dir),
                      "--out", str(tmp_path / "p")]) == 6
 
+    def resaved_checkpoint(self, sim_dir, tmp_path, edit):
+        """Train, then re-save the checkpoint with ``edit(entries, meta)``
+        applied: header and blob stay intact, the content does not fit."""
+        run = tmp_path / "run"
+        assert main(["train", "--config", self.train_cfg(tmp_path),
+                     "--data", str(sim_dir), "--out", str(run)]) == 0
+        ckpt = run / "checkpoint.ckpt"
+        entries, meta = load_checkpoint(ckpt)
+        entries = edit(entries, meta)
+        save_checkpoint(ckpt, entries, meta)
+        return ckpt
+
+    def run_with_checkpoint(self, command, ckpt, sim_dir, tmp_path):
+        if command == "infer":
+            argv = ["infer"]
+        else:
+            argv = ["train", "--config", self.train_cfg(tmp_path)]
+        return main(argv + ["--checkpoint", str(ckpt), "--data", str(sim_dir),
+                            "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_checkpoint_missing_meta_key_exits_6(self, command, sim_dir,
+                                                 tmp_path):
+        def drop_norm_info(entries, meta):
+            del meta["norm_info"]
+            return entries
+
+        ckpt = self.resaved_checkpoint(sim_dir, tmp_path, drop_norm_info)
+        assert self.run_with_checkpoint(command, ckpt, sim_dir, tmp_path) == 6
+
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    @pytest.mark.parametrize("edit", [
+        lambda entries, meta: entries[:3],
+        lambda entries, meta: [(n, p.reshape(-1)[:1]) if i == 0 else (n, p)
+                               for i, (n, p) in enumerate(entries)],
+    ], ids=["first_three_params", "misshapen_param"])
+    def test_checkpoint_of_other_architecture_exits_6(self, command, edit,
+                                                      sim_dir, tmp_path):
+        ckpt = self.resaved_checkpoint(sim_dir, tmp_path, edit)
+        assert self.run_with_checkpoint(command, ckpt, sim_dir, tmp_path) == 6
+
     def test_too_few_samples_to_split_exits_4(self, tmp_path):
         # ceil(0.8 * 3) == 3 leaves no test sample
         data = simulate(tmp_path / "data", tmp_path, count=3)
@@ -290,6 +349,26 @@ class TestEval:
         (pred / "sample_00000" / "phase_pred.pfm").unlink()
         assert main(["eval", "--data", str(data), "--pred", str(pred),
                      "--out", str(tmp_path / "e")]) == 4
+
+    def test_scores_match_the_metric_functions(self, sim_dir, tmp_path):
+        rec = tmp_path / "recon"
+        ev = tmp_path / "eval"
+        assert main(["reconstruct", "--data", str(sim_dir),
+                     "--out", str(rec)]) == 0
+        assert main(["eval", "--data", str(sim_dir), "--pred", str(rec),
+                     "--out", str(ev)]) == 0
+        report = json.loads((ev / "metrics.json").read_text())
+        for entry in report["per_image"]:
+            truth = io.load_phase(sim_dir / entry["sample"] / "phase_gt.pfm")
+            pred = io.load_phase(rec / entry["sample"] / "phase_unwrapped.pfm")
+            aligned = align_global_offset(pred, truth).data
+            span = truth.data.max() - truth.data.min()
+            params = SsimParams(dynamic_range=span)
+            mask = foreground_mask(truth)
+            assert entry["ssim_full"] == ssim(aligned, truth.data, params)[0]
+            assert entry["ssim_foreground"] == masked_mean_ssim(
+                aligned, truth.data, mask, params)
+            assert entry["rms"] == rms_error(aligned, truth.data)
 
 
 class TestFlags:

@@ -193,3 +193,42 @@ def test_foreground_mask_and_masked_ssim():
     assert mask[16, 16] and not mask[0, 0]
     score = masked_mean_ssim(truth, truth, mask, SsimParams())
     assert score == 1.0
+
+
+class TestSsimEdgeCases:
+    """Separable SSIM against the brute-force oracle at the crop edges: an
+    even window would expose an off-by-one in the valid-region offset."""
+
+    @pytest.mark.parametrize("n", [3, 7, 8, 11])
+    @pytest.mark.parametrize("extra", [(0, 0), (5, 13), (14, 2), (0, 9)])
+    def test_oracle_shape_symmetry_identity(self, n, extra):
+        rng = np.random.default_rng(100 * n + extra[0] + extra[1])
+        shape = (n + extra[0], n + extra[1])
+        a = rng.uniform(0, 1, shape)
+        b = np.clip(a + rng.normal(0, 0.2, shape), 0, 1)
+        params = SsimParams(window_size=n)
+        score, ssim_map = ssim(a, b, params)
+        assert ssim_map.shape == (shape[0] - n + 1, shape[1] - n + 1)
+        oracle_score, oracle_map = brute_force_ssim(a, b, params)
+        assert np.max(np.abs(ssim_map - oracle_map)) < 1e-12
+        assert abs(score - oracle_score) < 1e-12
+        swapped_score, swapped_map = ssim(b, a, params)
+        assert swapped_score == score
+        assert np.array_equal(swapped_map, ssim_map)
+        self_score, self_map = ssim(a, a, params)
+        assert self_score == 1.0
+        assert np.all(self_map == 1.0)
+
+    def test_masked_mean_reuses_the_map(self):
+        rng = np.random.default_rng(4)
+        a = rng.uniform(0, 1, (20, 30))
+        b = rng.uniform(0, 1, (20, 30))
+        mask = np.zeros((20, 30), dtype=bool)
+        mask[8:14, 5:25] = True
+        params = SsimParams()
+        _, ssim_map = ssim(a, b, params)
+        assert masked_mean_ssim(a, b, mask, params, ssim_map=ssim_map) == \
+            masked_mean_ssim(a, b, mask, params)
+        empty = np.zeros_like(mask)
+        assert masked_mean_ssim(a, b, empty, params, ssim_map=ssim_map) == \
+            ssim(a, b, params)[0]

@@ -1,7 +1,11 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from psimlab import (DEFAULT_SHIFTS, ForwardModelSpec, Image,
                      InterferogramStack, PhaseMap, PhaseObjectSpec, SourceSpec,
@@ -243,3 +247,115 @@ def test_full_round_trip_alignment():
     unwrapped = unwrap_phase(wrapped, quality)
     aligned = align_global_offset(unwrapped, truth)
     assert np.max(np.abs(aligned.data - truth.data)) < 1e-9
+
+
+def heap_unwrap_oracle(wrapped, quality):
+    """The tuple-keyed heap flood fill that ``unwrap_phase`` replaced (its
+    loop unchanged; input checks and the all-zero path left out), kept as
+    the reference its output must equal bit for bit."""
+    q = quality.data
+    w = wrapped.data
+    rows, cols = w.shape
+    seed_flat = int(np.argmax(q))  # argmax breaks ties row-major
+    sr, sc = divmod(seed_flat, cols)
+    out = np.empty_like(w)
+    solved = np.zeros(w.shape, dtype=bool)
+    queued = np.zeros(w.shape, dtype=bool)
+    out[sr, sc] = w[sr, sc]
+    solved[sr, sc] = True
+    frontier = []
+
+    def push_neighbors(r, c):
+        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if 0 <= nr < rows and 0 <= nc < cols and not solved[nr, nc] \
+                    and not queued[nr, nc]:
+                queued[nr, nc] = True
+                heapq.heappush(frontier, (-q[nr, nc], nr * cols + nc))
+
+    push_neighbors(sr, sc)
+    while frontier:
+        _, flat = heapq.heappop(frontier)
+        r, c = divmod(flat, cols)
+        if solved[r, c]:
+            continue
+        best_q = -1.0
+        ref = None
+        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if 0 <= nr < rows and 0 <= nc < cols and solved[nr, nc]:
+                if q[nr, nc] > best_q:
+                    best_q = q[nr, nc]
+                    ref = (nr, nc)
+        d = w[r, c] - w[ref]
+        d -= TWO_PI * np.round(d / TWO_PI)
+        out[r, c] = out[ref] + d
+        solved[r, c] = True
+        push_neighbors(r, c)
+    return out, (sr, sc)
+
+
+def assert_matches_heap_oracle(wrapped, quality):
+    out = unwrap_phase(wrapped, quality)
+    expected, seed = heap_unwrap_oracle(wrapped, quality)
+    assert np.array_equal(out.data, expected)
+    assert out.data.tobytes() == expected.tobytes()  # signed zeros too
+    assert out.meta["seed_pixel"] == seed
+
+
+_shapes = st.tuples(st.integers(1, 20), st.integers(1, 20))
+# exact multiples of pi / 2 put wrapped differences on the +-pi rounding
+# boundary, and signed zeros test the sign of every zero difference
+_phase_values = st.one_of(
+    st.sampled_from([math.pi, math.pi / 2, 0.0, -0.0, -math.pi / 2]),
+    st.floats(-math.pi, math.pi, exclude_min=True))
+# few distinct levels and many zeros, so most pops break a quality tie
+_quality_values = st.one_of(st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]),
+                            st.floats(0.0, 4.0))
+
+
+class TestUnwrapMatchesHeapOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(shape=_shapes, data=st.data())
+    def test_random_maps(self, shape, data):
+        w = data.draw(hnp.arrays(np.float64, shape, elements=_phase_values))
+        q = data.draw(hnp.arrays(np.float64, shape, elements=_quality_values))
+        assume(np.any(q > 0))
+        assert_matches_heap_oracle(PhaseMap(w, wrapped=True), QualityMap(q))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2)])
+    def test_thin_and_tiny_grids(self, shape):
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        w = wrap_to_pi(rng.uniform(-8, 8, shape))
+        q = rng.choice([0.0, 0.5, 1.0], shape)
+        q.flat[-1] = 1.0
+        assert_matches_heap_oracle(PhaseMap(w, wrapped=True), QualityMap(q))
+
+    @pytest.mark.parametrize("side", [64, 128])
+    @pytest.mark.parametrize("noise", [0.0, 1.5])
+    def test_simulated_stacks(self, side, noise):
+        spec = PhaseObjectSpec(kind="waveguide_ridge", ridge_center=side / 2,
+                               ridge_width=side / 3, ridge_height=200.0,
+                               edge_width=6.0)
+        truth = make_phase_object(spec, side, side)
+        stack = simulate_stack(truth, ForwardModelSpec(noise_sigma=noise),
+                               seed=side)
+        assert_matches_heap_oracle(five_step_wrapped_phase(stack),
+                                   modulation_amplitude(stack))
+
+    def test_plateau_quality(self):
+        # two quality levels in blocks: whole plateaus tie at every pop
+        rng = np.random.default_rng(3)
+        q = np.kron(rng.integers(1, 3, (6, 6)), np.ones((5, 5))).astype(float)
+        w = wrap_to_pi(rng.uniform(-8, 8, q.shape))
+        assert_matches_heap_oracle(PhaseMap(w, wrapped=True), QualityMap(q))
+
+    def test_signed_zeros_and_half_turn_steps(self):
+        # neighbors differ by exactly +-pi (np.round(+-0.5) == 0) or by a
+        # signed zero; the seed holds -0.0
+        h = math.pi / 2
+        w = np.array([[-0.0, math.pi, 0.0, -h],
+                      [h, -0.0, -h, math.pi],
+                      [0.0, math.pi, -0.0, h]])
+        q = np.array([[2.0, 1.0, 1.0, 0.0],
+                      [1.0, 1.0, 0.0, 1.0],
+                      [0.5, 0.0, 1.0, 1.0]])
+        assert_matches_heap_oracle(PhaseMap(w, wrapped=True), QualityMap(q))
