@@ -263,8 +263,10 @@ def cmd_train(args):
 
 def cmd_infer(args):
     started = time.monotonic()
+    timings = {}
     try:
-        state = load_gan(args.checkpoint)
+        with _timed(timings, "load"):
+            state = load_gan(args.checkpoint)
     except CheckpointError as exc:
         raise CliError(EXIT_INTEGRITY, str(exc))
     except OSError as exc:
@@ -279,20 +281,26 @@ def cmd_infer(args):
         i1_path = d / "frame_1.pfm"
         if not i1_path.exists():
             raise CliError(EXIT_DATA, f"{d} has no frame_1.pfm")
-        i1 = Image(io.read_pfm(i1_path))
+        with _timed(timings, "io"):
+            i1 = Image(io.read_pfm(i1_path))
         dest = out / d.name
         dest.mkdir(exist_ok=True)
         if state.spec.mode == "frames":
-            frames, _ = chain_infer_frames(state, i1)
-            io.save_image(dest / "frame_1.pfm", i1)
-            for k, frame in enumerate(frames, start=2):
-                io.save_image(dest / f"frame_{k}.pfm", frame, predicted=True)
+            with _timed(timings, "compute"):
+                frames, _ = chain_infer_frames(state, i1)
+            with _timed(timings, "io"):
+                io.save_image(dest / "frame_1.pfm", i1)
+                for k, frame in enumerate(frames, start=2):
+                    io.save_image(dest / f"frame_{k}.pfm", frame,
+                                  predicted=True)
         else:
-            phase = infer_phase(state, i1)
-            io.save_phase(dest / "phase_pred.pfm", phase, predicted=True)
+            with _timed(timings, "compute"):
+                phase = infer_phase(state, i1)
+            with _timed(timings, "io"):
+                io.save_phase(dest / "phase_pred.pfm", phase, predicted=True)
         outputs.append(str(dest))
     _write_manifest(out, "infer", "", {}, [str(args.data)], outputs, started,
-                    {})
+                    timings)
     return EXIT_OK
 
 

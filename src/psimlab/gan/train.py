@@ -78,14 +78,32 @@ def bce_with_logits(logits, target):
     return float(loss.mean()), grad
 
 
+def discriminator_loss(logits, real):
+    """The real-pair (``real``) or generated-pair term of
+    L_D = [BCE(D(x, y), 1) + BCE(D(x, G(x)), 0)] / 2, and its gradient in
+    ``logits``."""
+    loss, grad = bce_with_logits(logits, 1.0 if real else 0.0)
+    return 0.5 * loss, 0.5 * grad
+
+
+def generator_loss(logits, g_out, target, lambda_l1):
+    """L_G = BCE(D(x, G(x)), 1) + lambda_l1 * mean|G(x) - y|.
+
+    Returns (adversarial term, L1 term, gradient in ``logits``, gradient
+    of the L1 term in ``g_out``).
+    """
+    adv, grad_logits = bce_with_logits(logits, 1.0)
+    diff = g_out - target
+    l1 = lambda_l1 * float(np.mean(np.abs(diff)))
+    return adv, l1, grad_logits, lambda_l1 * np.sign(diff) / g_out.size
+
+
 def gan_losses(real_logits, fake_logits, g_out, target, lambda_l1):
     """(L_D, L_G) under the standard conditional-GAN objective with L1."""
-    bce_real, _ = bce_with_logits(real_logits, 1.0)
-    bce_fake, _ = bce_with_logits(fake_logits, 0.0)
-    l_d = 0.5 * (bce_real + bce_fake)
-    bce_gen, _ = bce_with_logits(fake_logits, 1.0)
-    l1 = float(np.mean(np.abs(g_out - target)))
-    return l_d, bce_gen + lambda_l1 * l1
+    l_d = (discriminator_loss(real_logits, True)[0]
+           + discriminator_loss(fake_logits, False)[0])
+    adv, l1, _, _ = generator_loss(fake_logits, g_out, target, lambda_l1)
+    return l_d, adv + l1
 
 
 def _as_batch(pairs):
@@ -100,31 +118,27 @@ def train_step(state: GanState, batch) -> GanState:
         raise ValueError("empty batch")
     x, target = _as_batch(batch)
     gen, disc = state.generator, state.discriminator
-    lam = state.spec.lambda_l1
 
-    # discriminator step, generator frozen
+    # discriminator step, generator frozen; each pair is backpropagated
+    # before the next forward replaces the discriminator's layer caches
     fake = gen.forward(x)
     disc.zero_grad()
-    real_logits = disc.forward(x, target)
-    bce_real, grad_real = bce_with_logits(real_logits, 1.0)
-    disc.backward(0.5 * grad_real)
-    fake_logits = disc.forward(x, fake)
-    bce_fake, grad_fake = bce_with_logits(fake_logits, 0.0)
-    disc.backward(0.5 * grad_fake)
-    l_d = 0.5 * (bce_real + bce_fake)
+    l_d = 0.0
+    for candidate, real in ((target, True), (fake, False)):
+        loss, grad = discriminator_loss(disc.forward(x, candidate), real)
+        disc.backward(grad)
+        l_d += loss
     if not np.isfinite(l_d):
         raise NumericError(f"discriminator loss is not finite at step {state.step}")
     adam_step(disc.parameters(), disc.gradients(), state.d_opt)
 
-    # generator step, discriminator frozen
+    # generator step, discriminator frozen; only the discriminator changed
+    # since ``fake`` was computed, so the generator's caches still hold
     gen.zero_grad()
-    fake = gen.forward(x)
     disc.zero_grad()
-    fake_logits = disc.forward(x, fake)
-    l_g_adv, grad_logits = bce_with_logits(fake_logits, 1.0)
+    l_g_adv, l1, grad_logits, grad_l1 = generator_loss(
+        disc.forward(x, fake), fake, target, state.spec.lambda_l1)
     _, grad_fake_img = disc.backward(grad_logits)
-    l1 = float(np.mean(np.abs(fake - target)))
-    grad_l1 = lam * np.sign(fake - target) / fake.size
     if not np.isfinite(l_g_adv) or not np.isfinite(l1):
         raise NumericError(f"generator loss is not finite at step {state.step}")
     gen.backward(grad_fake_img + grad_l1)
@@ -132,7 +146,7 @@ def train_step(state: GanState, batch) -> GanState:
     adam_step(gen.parameters(), gen.gradients(), state.g_opt)
 
     state.step += 1
-    state.history.append((l_d, l_g_adv, lam * l1))
+    state.history.append((l_d, l_g_adv, l1))
     return state
 
 

@@ -4,11 +4,22 @@ All tensors are float64 numpy arrays laid out (batch, channels, height,
 width).  Convolutions are cross-correlations with zero padding; weight
 layouts follow (out, in, kh, kw) for conv and (in, out, kh, kw) for
 transposed conv.
+
+All four conv ops are built from one correlation core: a gather, its
+adjoint in the input (a scatter) and its gradient in the weights.  Each
+does one BLAS contraction per chunk of at most ``CHUNK`` samples over a
+``sliding_window_view`` of its input (im2col; Chellapilla, Puri & Simard,
+2006), never a loop of per-tap einsums.  A stride-1 layer with fewer output
+than input channels, such as the generator head, would copy c*k^2 values per
+pixel to produce o of them, so there the channels are contracted first and
+the shifted taps added after, and both backward parts read the windows of
+the fully padded output gradient (o*k^2 values per pixel) instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class NumericError(RuntimeError):
@@ -28,30 +39,96 @@ def _taps(kernel, hw, stride):
                      slice(v, v + (hw[1] - 1) * stride + 1, stride))
 
 
+# Samples per GEMM: every temporary holds at most CHUNK samples, so a thin
+# layer on a large batch cannot blow up peak memory.
+CHUNK = 2
+
+
+def _chunks(n):
+    return (slice(i, i + CHUNK) for i in range(0, n, CHUNK))
+
+
+def _windows(src, kernel, out_hw, stride):
+    """View (n, c, oh, ow, kh, kw): the patch of ``src`` each output reads."""
+    win = sliding_window_view(src, kernel, axis=(2, 3))
+    return win[:, :, :(out_hw[0] - 1) * stride + 1:stride,
+               :(out_hw[1] - 1) * stride + 1:stride]
+
+
+def _full_pad(g, kernel):
+    return np.pad(g, ((0, 0), (0, 0), (kernel[0] - 1,) * 2,
+                      (kernel[1] - 1,) * 2))
+
+
+def _flip_t(w):
+    """Kernel whose stride-1 gather is the adjoint of ``w``'s gather."""
+    return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+
+
+def _per_pixel(w_mat, x):
+    """``w_mat @ x[i]`` for each sample, pixels flattened: (n, rows, h*w)."""
+    return w_mat @ x.reshape(len(x), w_mat.shape[1], -1)
+
+
 def _correlate(src, w, out_hw, stride):
     """Gather: ``out[n,o] = sum_{c,u,v} src[n,c,win(u,v)] w[o,c,u,v]``."""
-    out = np.zeros((len(src), len(w), *out_hw))
-    for u, v, win in _taps(w.shape[2:], out_hw, stride):
-        out += np.einsum('nchw,oc->nohw', src[win], w[:, :, u, v],
-                         optimize=True)
+    o, c, kh, kw = w.shape
+    out = np.zeros((len(src), o, *out_hw))
+    if stride == 1 and o < c:
+        # thin output: contract the channels first, o*k^2 values per pixel
+        # where an im2col would copy c*k^2, then add the shifted taps
+        w_taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
+        for s in _chunks(len(src)):
+            acc = out[s]
+            t = _per_pixel(w_taps, src[s]).reshape(len(acc), kh, kw, o,
+                                                   *src.shape[2:])
+            for u, v, win in _taps((kh, kw), out_hw, 1):
+                acc += t[:, u, v][win]
+            del t  # freed before the next chunk's is built
+        return out
+    # im2col: the reshape in _per_pixel copies the c*k^2 window of every
+    # output pixel into one column, then one GEMM per sample
+    cols = _windows(src, (kh, kw), out_hw, stride).transpose(0, 1, 4, 5, 2, 3)
+    w_mat = w.reshape(o, c * kh * kw)
+    for s in _chunks(len(src)):
+        out[s] = _per_pixel(w_mat, cols[s]).reshape(out[s].shape)
     return out
 
 
 def _correlate_adjoint(g, w, src_hw, stride):
     """Scatter: adjoint of ``_correlate`` in ``src``, onto ``src_hw``."""
-    out = np.zeros((len(g), w.shape[1], *src_hw))
-    for u, v, win in _taps(w.shape[2:], g.shape[2:], stride):
-        out[win] += np.einsum('nohw,oc->nchw', g, w[:, :, u, v],
-                              optimize=True)
+    o, c, kh, kw = w.shape
+    if stride == 1 and o < c:
+        # the gather of the fully padded g keeps temporaries at o*k^2/pixel
+        return _correlate(_full_pad(g, w.shape[2:]), _flip_t(w), src_hw, 1)
+    out = np.zeros((len(g), c, *src_hw))
+    w_taps = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
+    for s in _chunks(len(g)):
+        dst = out[s]
+        t = _per_pixel(w_taps, g[s]).reshape(len(dst), kh, kw, c,
+                                             *g.shape[2:])
+        for u, v, win in _taps((kh, kw), g.shape[2:], stride):
+            dst[win] += t[:, u, v]
+        del t  # freed before the next chunk's is built
     return out
 
 
 def _correlate_weight_grad(src, g, kernel, stride):
     """Adjoint of ``_correlate`` in ``w``, laid out like ``w``."""
-    grad_w = np.zeros((g.shape[1], src.shape[1], *kernel))
-    for u, v, win in _taps(kernel, g.shape[2:], stride):
-        grad_w[:, :, u, v] = np.einsum('nohw,nchw->oc', g, src[win],
-                                       optimize=True)
+    o, c = g.shape[1], src.shape[1]
+    grad_w = np.zeros((o, c, *kernel))
+    if stride == 1 and o < c:
+        # the same sums read from the windows of the fully padded g, which
+        # hold o*k^2 values per pixel, with the taps flipped back
+        win = _windows(_full_pad(g, kernel), kernel, src.shape[2:], 1)
+        for s in _chunks(len(g)):
+            grad_w += np.tensordot(win[s], src[s],
+                                   axes=([0, 2, 3], [0, 2, 3])) \
+                .transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
+        return grad_w
+    win = _windows(src, kernel, g.shape[2:], stride)
+    for s in _chunks(len(g)):
+        grad_w += np.tensordot(g[s], win[s], axes=([0, 2, 3], [0, 2, 3]))
     return grad_w
 
 
@@ -153,12 +230,13 @@ def instance_norm_forward(x, gamma, beta, eps=1e-5):
 
 def instance_norm_backward(grad_y, cache):
     xhat, inv_std, gamma = cache
-    n, c, h, w = grad_y.shape
-    m = h * w
-    grad_gamma = np.einsum('nchw,nchw->c', grad_y, xhat, optimize=True)
-    grad_beta = grad_y.sum(axis=(0, 2, 3))
-    g = grad_y * gamma[None, :, None, None]
-    g_mean = g.mean(axis=(2, 3), keepdims=True)
-    gx_mean = (g * xhat).mean(axis=(2, 3), keepdims=True)
-    grad_x = inv_std * (g - g_mean - xhat * gx_mean)
-    return grad_x, grad_gamma, grad_beta
+    m = xhat.shape[2] * xhat.shape[3]
+    sum_gy = grad_y.sum(axis=(2, 3), keepdims=True)
+    sum_gy_xhat = (grad_y * xhat).sum(axis=(2, 3), keepdims=True)
+    # gamma * inv_std * (grad_y - mean(grad_y) - xhat * mean(grad_y * xhat)),
+    # built in place so at most two full-size temporaries live at once
+    grad_x = xhat * (sum_gy_xhat / m)
+    grad_x += sum_gy / m
+    np.subtract(grad_y, grad_x, out=grad_x)
+    grad_x *= gamma[None, :, None, None] * inv_std
+    return grad_x, sum_gy_xhat.sum(axis=(0, 2, 3)), sum_gy.sum(axis=(0, 2, 3))

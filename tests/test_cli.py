@@ -205,6 +205,22 @@ class TestTrainInfer:
         assert len(report["per_image"]) == 5
         assert -1.0 <= report["mean_ssim_full"] <= 1.0
 
+    @pytest.mark.parametrize("mode", ["phase", "frames"])
+    def test_infer_manifest_records_load_compute_and_io_seconds(
+            self, sim_dir, tmp_path, mode):
+        run = tmp_path / "run"
+        main(["train", "--config",
+              self.train_cfg(tmp_path, spec=dict(TINY_SPEC, mode=mode)),
+              "--data", str(sim_dir), "--out", str(run)])
+        pred = tmp_path / "pred"
+        assert main(["infer", "--checkpoint", str(run / "checkpoint.ckpt"),
+                     "--data", str(sim_dir), "--out", str(pred)]) == 0
+        manifest = json.loads((pred / "manifest.json").read_text())
+        timings = manifest["timings_s"]
+        assert sorted(timings) == ["compute", "io", "load"]
+        assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= manifest["wall_clock_s"] + 0.002
+
     def test_infer_frames_mode_writes_frames(self, sim_dir, tmp_path):
         cfg = self.train_cfg(tmp_path, spec=dict(TINY_SPEC, mode="frames"))
         run = tmp_path / "run"

@@ -11,7 +11,7 @@ from psimlab.gan import (GanSpec, PatchDiscriminator, UNetGenerator,
                          save_gan, train, train_step)
 from psimlab.gan.data import (PairedSample, augment, denormalize, normalize,
                               rotations_12, split_dataset)
-from psimlab.nn import ops
+from psimlab.nn import adam_step, ops
 from psimlab.reconstruct import (five_step_wrapped_phase,
                                  modulation_amplitude, unwrap_phase)
 
@@ -343,6 +343,50 @@ class TestTraining:
                 straight.discriminator.parameters(),
                 resumed.generator.parameters() +
                 resumed.discriminator.parameters()):
+            assert np.array_equal(a, b), n
+
+    def test_step_matches_loop_with_second_generator_forward(self):
+        def reference_step(state, batch):
+            # the loop before the generator forward was shared: losses
+            # worked out inline and G(x) recomputed for the generator update
+            x = np.stack([p.input for p in batch])[:, None]
+            target = np.stack([p.target for p in batch])[:, None]
+            gen, disc = state.generator, state.discriminator
+            lam = state.spec.lambda_l1
+            fake = gen.forward(x)
+            disc.zero_grad()
+            bce_real, grad_real = bce_with_logits(disc.forward(x, target), 1.0)
+            disc.backward(0.5 * grad_real)
+            bce_fake, grad_fake = bce_with_logits(disc.forward(x, fake), 0.0)
+            disc.backward(0.5 * grad_fake)
+            adam_step(disc.parameters(), disc.gradients(), state.d_opt)
+            gen.zero_grad()
+            fake = gen.forward(x)
+            disc.zero_grad()
+            l_g_adv, grad_logits = bce_with_logits(disc.forward(x, fake), 1.0)
+            _, grad_fake_img = disc.backward(grad_logits)
+            l1 = float(np.mean(np.abs(fake - target)))
+            gen.backward(grad_fake_img
+                         + lam * np.sign(fake - target) / fake.size)
+            disc.zero_grad()
+            adam_step(gen.parameters(), gen.gradients(), state.g_opt)
+            state.step += 1
+            state.history.append((0.5 * (bce_real + bce_fake), l_g_adv,
+                                  lam * l1))
+
+        pairs = random_pairs(6, seed=8)
+        shared, reference = (init_gan(tiny_spec("phase"), seed=9)
+                             for _ in range(2))
+        for k in range(3):
+            batch = pairs[2 * k:2 * k + 2]
+            train_step(shared, batch)
+            reference_step(reference, batch)
+        assert shared.history == reference.history
+        for (n, a), (_, b) in zip(
+                shared.generator.parameters() +
+                shared.discriminator.parameters(),
+                reference.generator.parameters() +
+                reference.discriminator.parameters()):
             assert np.array_equal(a, b), n
 
     def test_losses_recorded_finite(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,99 @@ class TestConvTranspose2d:
                                          np.zeros((1, 1, 4, 4)), np.zeros(1),
                                          stride=2, padding=1)
         assert y.shape == (1, 1, 10, 10)
+
+
+def inner(a, b):
+    """<a, b> and the sum of |a * b|, the scale its rounding error has."""
+    return float(np.sum(a * b)), float(np.sum(np.abs(a * b)))
+
+
+def assert_adjoint(lhs, rhs):
+    (left, scale_l), (right, scale_r) = lhs, rhs
+    assert abs(left - right) <= 1e-12 * max(scale_l, scale_r)
+
+
+# (batch, in, out, kernel, stride, padding, input hw): stride 1 and 2,
+# padding 0-2, out < in (the thin-output route at stride 1), out > in,
+# out == 1, batches that are not a multiple of the GEMM chunk, non-square
+CORE_CASES = [
+    (1, 3, 5, 3, 1, 1, (6, 9)),
+    (3, 5, 2, 3, 1, 1, (7, 5)),
+    (3, 4, 1, 3, 1, 2, (5, 8)),
+    (1, 6, 1, 3, 1, 0, (6, 6)),
+    (3, 2, 4, 4, 2, 1, (8, 6)),
+    (1, 5, 3, 4, 2, 1, (9, 7)),
+    (3, 4, 1, 3, 2, 0, (7, 8)),
+    (3, 2, 2, 2, 2, 2, (5, 4)),
+    (1, 2, 3, 1, 1, 0, (4, 3)),
+]
+
+
+class TestConvCoreOracle:
+    """All four conv ops against ``brute_conv2d``: the forward directly, the
+    backward outputs through <A x, y> = <x, A^T y> for the linear maps
+    x -> conv(x, w) and w -> conv(x, w)."""
+
+    @pytest.mark.parametrize("n,c,o,k,stride,pad,hw", CORE_CASES)
+    def test_conv2d(self, n, c, o, k, stride, pad, hw):
+        rng = np.random.default_rng(c * 100 + o * 10 + k)
+        x = rng.normal(size=(n, c, *hw))
+        w = rng.normal(size=(o, c, k, k))
+        b = rng.normal(size=o)
+        y = ops.conv2d_forward(x, w, b, stride, pad)
+        ref = brute_conv2d(x, w, b, stride, pad)
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        gy = rng.normal(size=y.shape)
+        gx, gw, gb = ops.conv2d_backward(x, w, gy, stride, pad)
+        assert gx.shape == x.shape and gw.shape == w.shape
+        x2, w2, zero = rng.normal(size=x.shape), rng.normal(size=w.shape), \
+            np.zeros(o)
+        assert_adjoint(inner(gx, x2),
+                       inner(brute_conv2d(x2, w, zero, stride, pad), gy))
+        assert_adjoint(inner(gw, w2),
+                       inner(brute_conv2d(x, w2, zero, stride, pad), gy))
+        assert np.max(np.abs(gb - gy.sum(axis=(0, 2, 3)))) < 1e-12 * gy.size
+
+    @pytest.mark.parametrize("n,c,o,k,stride,pad,hw", CORE_CASES)
+    def test_conv_transpose2d(self, n, c, o, k, stride, pad, hw):
+        # the transposed conv with kernel w (in=o, out=c) is the adjoint of
+        # conv2d with the same w, so brute_conv2d is its oracle too
+        rng = np.random.default_rng(c * 100 + o * 10 + k + 1)
+        w = rng.normal(size=(o, c, k, k))
+        b = rng.normal(size=c)
+        x = rng.normal(size=(n, o, *hw))
+        y = ops.conv_transpose2d_forward(x, w, b, stride, pad)
+        y2, zero = rng.normal(size=y.shape), np.zeros(o)
+        assert_adjoint(inner(y - b[None, :, None, None], y2),
+                       inner(x, brute_conv2d(y2, w, zero, stride, pad)))
+
+        gy = rng.normal(size=y.shape)
+        gx, gw, gb = ops.conv_transpose2d_backward(x, w, gy, stride, pad)
+        ref = brute_conv2d(gy, w, zero, stride, pad)
+        assert gx.shape == x.shape
+        assert np.max(np.abs(gx - ref)) <= 1e-12 * np.max(np.abs(ref))
+        w2 = rng.normal(size=w.shape)
+        assert_adjoint(inner(gw, w2),
+                       inner(x, brute_conv2d(gy, w2, zero, stride, pad)))
+        assert np.max(np.abs(gb - gy.sum(axis=(0, 2, 3)))) < 1e-12 * gy.size
+
+    def test_thin_head_memory_is_bounded(self):
+        # the generator head at batch 8: an im2col of the whole batch
+        # would copy 8*17*9 values per pixel (40 MB) for a 1-channel output
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(8, 17, 64, 64))
+        w = rng.normal(size=(1, 17, 3, 3))
+        b = np.zeros(1)
+        gy = rng.normal(size=(8, 1, 64, 64))
+        tracemalloc.start()
+        try:
+            ops.conv2d_forward(x, w, b, 1, 1)
+            ops.conv2d_backward(x, w, gy, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestActivations:
