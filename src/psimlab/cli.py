@@ -22,14 +22,14 @@ from . import __version__, io
 from .gan import (build_pairs, chain_infer_frames, infer_phase, init_gan,
                   load_gan, rotations_12, save_gan, split_dataset, train)
 from .gan.train import GanSpec
-from .image import Image, PhaseMap
+from .image import Image
 from .metrics import (SsimParams, align_global_offset, foreground_mask,
                       masked_mean_ssim, rms_error, ssim,
                       stitched_line_profile)
 from .nn.checkpoint import CheckpointError
 from .reconstruct import reconstruct_stack
 from .simulate import (DEFAULT_SHIFTS, ForwardModelSpec, InterferogramStack,
-                       PhaseObjectSpec, SourceSpec, synth_dataset)
+                       SourceSpec, synth_dataset)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,12 +59,17 @@ def _load_config(path):
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read config {path}: {exc}")
     try:
-        return json.loads(text)
+        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_CONFIG, f"malformed JSON in {path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise CliError(EXIT_CONFIG, f"config {path} is not a JSON object")
+    return cfg
 
 
 def _model_from_config(cfg):
+    if not isinstance(cfg, dict):
+        raise CliError(EXIT_CONFIG, "forward model config is not an object")
     try:
         source = SourceSpec(**cfg.get("source", {}))
         fields = {k: v for k, v in cfg.items() if k != "source"}
@@ -125,9 +130,15 @@ def _load_stack(sample_dir):
                            f"stack {sample_dir} is missing frame_{k}.pfm")
         frames.append(Image(io.read_pfm(path)))
     meta = io.read_sidecar(sample_dir / "frame_1.pfm")
-    shifts = meta.get("realized_shifts", list(DEFAULT_SHIFTS))
-    return InterferogramStack(frames, shifts, ForwardModelSpec(),
-                              seed=meta.get("seed")), meta
+    try:
+        stack = InterferogramStack(
+            frames, meta.get("realized_shifts", list(DEFAULT_SHIFTS)),
+            ForwardModelSpec(), seed=meta.get("seed"))
+        if meta.get("lambda0_nm") is not None:
+            meta["lambda0_nm"] = float(meta["lambda0_nm"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{sample_dir}: bad frame_1 sidecar: {exc}") from None
+    return stack, meta
 
 
 def _load_dataset(data_dir):
@@ -149,7 +160,7 @@ def cmd_simulate(args):
         width = int(cfg.get("width", 64))
         height = int(cfg.get("height", 64))
         family = cfg.get("object_family", "cell_blobs")
-        seed = int(cfg.get("seed", args.seed or 0))
+        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_CONFIG, f"bad simulate config field: {exc}")
     model = _model_from_config(cfg.get("model", {}))
@@ -215,20 +226,24 @@ def cmd_train(args):
     cfg = _load_config(args.config)
     try:
         spec = GanSpec(**cfg.get("spec", {}))
+        steps = (args.steps if args.steps is not None
+                 else int(cfg.get("steps", 1000)))
+        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        batch_size = int(cfg.get("batch_size", 1))
+        train_fraction = float(cfg.get("train_fraction", 0.8))
+        split_seed = int(cfg.get("split_seed", 0))
+        train_count = cfg.get("train_count")
+        if train_count is not None:
+            train_count = int(train_count)
     except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_CONFIG, f"bad GAN spec: {exc}")
+        raise CliError(EXIT_CONFIG, f"bad train config: {exc}")
     if args.mode and args.mode != spec.mode:
         raise CliError(EXIT_MODE,
                        f"--mode {args.mode} != config mode {spec.mode}")
-    steps = args.steps if args.steps is not None else int(cfg.get("steps", 1000))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    batch_size = int(cfg.get("batch_size", 1))
 
     dataset = _load_dataset(args.data)
-    train_set, _ = split_dataset(dataset,
-                                 train_fraction=cfg.get("train_fraction", 0.8),
-                                 seed=int(cfg.get("split_seed", 0)),
-                                 train_count=cfg.get("train_count"))
+    train_set, _ = split_dataset(dataset, train_fraction=train_fraction,
+                                 seed=split_seed, train_count=train_count)
     pairs, norm_info = build_pairs(train_set, spec.mode)
     if cfg.get("augment", False):
         pairs = rotations_12(pairs)

@@ -8,10 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from ..metrics import align_global_offset
-from ..reconstruct import five_step_wrapped_phase, modulation_amplitude, \
-    unwrap_phase
-
 
 @dataclass
 class PairedSample:
@@ -67,12 +63,12 @@ def dataset_phase_range(dataset, margin=0.05):
     return float(lo - pad), float(hi + pad)
 
 
-def build_pairs(dataset, mode, phase_range=None, use_ground_truth_phase=True):
+def build_pairs(dataset, mode):
     """Turn (stack, truth) samples into normalized training pairs.
 
     mode ``frames``: four pairs per stack, frame k -> frame k+1 (one shared
     generator learns the constant advance).  mode ``phase``: one pair per
-    stack, frame 1 -> unwrapped aligned phase, target normalized by a
+    stack, frame 1 -> ground-truth phase, target normalized by a
     dataset-wide fixed phase range.  Intensities always use the dataset-wide
     range so inference from a single frame normalizes consistently.
 
@@ -100,28 +96,16 @@ def build_pairs(dataset, mode, phase_range=None, use_ground_truth_phase=True):
                     dict(rec)))
         return pairs, norm_info
 
-    if phase_range is None:
-        phase_range = dataset_phase_range(dataset)
-    norm_info["phase_range"] = phase_range
-    plo, phi = phase_range
+    norm_info["phase_range"] = dataset_phase_range(dataset)
+    plo, phi = norm_info["phase_range"]
     for stack, truth in dataset:
-        if use_ground_truth_phase:
-            target = truth
-        else:
-            wrapped = five_step_wrapped_phase(stack)
-            quality = modulation_amplitude(stack)
-            target = align_global_offset(unwrap_phase(wrapped, quality), truth)
         rec = {"input": _affine_to_unit(lo, hi),
                "target": _affine_to_unit(plo, phi)}
         pairs.append(PairedSample(
             normalize(stack.frames[0].data, lo, hi),
-            np.clip(normalize(target.data, plo, phi), -1.0, 1.0),
+            np.clip(normalize(truth.data, plo, phi), -1.0, 1.0),
             rec))
     return pairs, norm_info
-
-
-AUGMENT_OPS = tuple(f"rotate{30 * k}" for k in range(12)) + ("flip_h", "flip_v",
-                                                             "identity")
 
 
 def _transform(grid, op):

@@ -27,17 +27,15 @@ def _tag_names(block: Sequential, tag: str):
 
 
 class UNetGenerator(Sequential):
-    def __init__(self, depth=4, base=16, in_ch=1, out_ch=1, skips=True,
-                 rng=None):
+    def __init__(self, depth=4, base=16, skips=True, rng=None):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         rng = rng or np.random.default_rng(0)
         self.depth = depth
         self.skips = skips
-        self.in_ch = in_ch
 
         down_out = [min(base * 2 ** k, base * 8) for k in range(depth)]
-        act_ch = [in_ch] + down_out  # channels of acts[0..depth]
+        act_ch = [1] + down_out  # channels of acts[0..depth]
         self.up_out = [base if k == 0 else down_out[k - 1]
                        for k in range(depth)]
 
@@ -70,7 +68,7 @@ class UNetGenerator(Sequential):
 
         head_in = self.up_out[0] + (act_ch[0] if skips else 0)
         self.head = Sequential(
-            Conv2d(head_in, out_ch, 3, stride=1, padding=1, rng=rng),
+            Conv2d(head_in, 1, 3, stride=1, padding=1, rng=rng),
             Tanh())
         _tag_names(self.head, "g_head")
         # block order is the parameter, checkpoint and Adam-key order
@@ -108,13 +106,13 @@ class UNetGenerator(Sequential):
 
 
 class PatchDiscriminator(Sequential):
-    def __init__(self, blocks=3, base=16, in_ch=2, rng=None):
+    def __init__(self, blocks=3, base=16, rng=None):
         if blocks < 1:
             raise ValueError("need at least one block")
         rng = rng or np.random.default_rng(0)
         self.blocks = blocks
         layers = []
-        ch = in_ch
+        ch = 2  # the (condition, candidate) pair
         for k in range(blocks):
             out = min(base * 2 ** k, base * 8)
             layers.append(Conv2d(ch, out, 4, stride=2, padding=1, rng=rng,

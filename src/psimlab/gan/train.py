@@ -62,7 +62,7 @@ def init_gan(spec: GanSpec, seed: int = 0, norm_info=None) -> GanState:
     gen = UNetGenerator(depth=spec.depth, base=spec.base, skips=spec.skips,
                         rng=rng)
     disc = PatchDiscriminator(blocks=spec.disc_blocks, base=spec.disc_base,
-                              in_ch=2, rng=rng)
+                              rng=rng)
     return GanState(spec, gen, disc,
                     AdamState(lr=spec.lr, beta1=spec.beta1, beta2=spec.beta2),
                     AdamState(lr=spec.lr, beta1=spec.beta1, beta2=spec.beta2),
@@ -150,14 +150,13 @@ def train_step(state: GanState, batch) -> GanState:
     return state
 
 
-def train(state: GanState, pairs, steps, batch_size=1, seed=None):
+def train(state: GanState, pairs, steps, batch_size=1):
     """Run ``steps`` updates cycling pairs in a seeded shuffled order.
 
-    Sample order is a pure function of (seed, global step), so a run resumed
-    from a checkpoint continues exactly where an uninterrupted run would be.
+    Sample order is a pure function of (state.seed, global step), so a run
+    resumed from a checkpoint continues exactly where an uninterrupted run
+    would be.
     """
-    if seed is None:
-        seed = state.seed
     n = len(pairs)
     orders = {}
     for _ in range(steps):
@@ -167,7 +166,7 @@ def train(state: GanState, pairs, steps, batch_size=1, seed=None):
             epoch, off = divmod(i, n)
             if epoch not in orders:
                 orders = {epoch: np.random.default_rng(
-                    (seed, epoch)).permutation(n)}
+                    (state.seed, epoch)).permutation(n)}
             batch.append(pairs[orders[epoch][off]])
         train_step(state, batch)
     return state
@@ -179,8 +178,15 @@ def generator_apply(state: GanState, normalized: np.ndarray) -> np.ndarray:
     return out[0, 0]
 
 
-def chain_infer_frames(state: GanState, i1: Image, intensity_range=None,
-                       generator_fn=None):
+def _intensity_range(state: GanState, i1: Image):
+    """The training set's intensity range, else the frame's own."""
+    lo_hi = state.norm_info.get("intensity_range")
+    if lo_hi is None:
+        lo_hi = (float(i1.data.min()), float(i1.data.max()))
+    return lo_hi
+
+
+def chain_infer_frames(state: GanState, i1: Image, generator_fn=None):
     """Approach 1 inference: predict frames 2..5 by chaining the generator.
 
     ``generator_fn`` (normalized grid -> normalized grid) can replace the
@@ -189,11 +195,7 @@ def chain_infer_frames(state: GanState, i1: Image, intensity_range=None,
     """
     if state.spec.mode != "frames":
         raise ValueError("chain inference requires a frames-mode model")
-    if intensity_range is None:
-        intensity_range = state.norm_info.get("intensity_range")
-    if intensity_range is None:
-        intensity_range = (float(i1.data.min()), float(i1.data.max()))
-    lo, hi = intensity_range
+    lo, hi = _intensity_range(state, i1)
     fn = generator_fn or (lambda g: generator_apply(state, g))
 
     current = normalize(i1.data, lo, hi)
@@ -206,18 +208,14 @@ def chain_infer_frames(state: GanState, i1: Image, intensity_range=None,
     return frames[1:], stack
 
 
-def infer_phase(state: GanState, i1: Image, intensity_range=None) -> PhaseMap:
+def infer_phase(state: GanState, i1: Image) -> PhaseMap:
     """Approach 2 inference: single interferogram straight to unwrapped phase."""
     if state.spec.mode != "phase":
         raise ValueError("direct phase inference requires a phase-mode model")
     phase_range = state.norm_info.get("phase_range")
     if phase_range is None:
         raise ValueError("state carries no recorded phase range")
-    if intensity_range is None:
-        intensity_range = state.norm_info.get("intensity_range")
-    if intensity_range is None:
-        intensity_range = (float(i1.data.min()), float(i1.data.max()))
-    lo, hi = intensity_range
+    lo, hi = _intensity_range(state, i1)
     out = generator_apply(state, normalize(i1.data, lo, hi))
     return PhaseMap(denormalize(out, *phase_range), wrapped=False)
 

@@ -33,14 +33,6 @@ class Image:
         self.data = _as_grid(self.data)
 
     @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def shape(self):
         return self.data.shape
 
@@ -62,14 +54,6 @@ class PhaseMap:
         if self.wrapped:
             if np.any(self.data <= -np.pi) or np.any(self.data > np.pi):
                 raise ValueError("wrapped phase must lie in (-pi, pi]")
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
 
     @property
     def shape(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +34,16 @@ def read_pfm(path) -> np.ndarray:
             scale = float(fh.readline())
         except ValueError:
             raise ValueError(f"{path}: malformed PFM header") from None
-        raw = fh.read(4 * width * height)
-    if len(raw) != 4 * width * height:
-        raise ValueError(f"{path}: truncated PFM, {len(raw)} of "
-                         f"{4 * width * height} data bytes")
+        if width < 1 or height < 1:
+            raise ValueError(f"{path}: malformed PFM header")
+        # checked against the file size first: a corrupt header must not
+        # make the read allocate what the file does not hold
+        want = 4 * width * height
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        if have < want:
+            raise ValueError(f"{path}: truncated PFM, {have} of {want} "
+                             f"data bytes")
+        raw = fh.read(want)
     data = np.frombuffer(raw, dtype="<f4" if scale < 0 else ">f4")
     return np.flipud(data.reshape(height, width)).astype(np.float64)
 
@@ -54,7 +61,10 @@ def read_sidecar(pfm_path) -> dict:
     path = Path(str(pfm_path) + ".json")
     if not path.exists():
         return {}
-    return json.loads(path.read_text())
+    meta = json.loads(path.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: sidecar is not a JSON object")
+    return meta
 
 
 def save_image(path, image: Image, **meta):

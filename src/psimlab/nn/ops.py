@@ -9,11 +9,13 @@ All four conv ops are built from one correlation core: a gather, its
 adjoint in the input (a scatter) and its gradient in the weights.  Each
 does one BLAS contraction per chunk of at most ``CHUNK`` samples over a
 ``sliding_window_view`` of its input (im2col; Chellapilla, Puri & Simard,
-2006), never a loop of per-tap einsums.  A stride-1 layer with fewer output
-than input channels, such as the generator head, would copy c*k^2 values per
-pixel to produce o of them, so there the channels are contracted first and
-the shifted taps added after, and both backward parts read the windows of
-the fully padded output gradient (o*k^2 values per pixel) instead.
+2006), never a loop of per-tap einsums.  At stride 1 a gather with kernel
+``w`` is the scatter with the flipped, transposed kernel ``_flip_t(w)``
+onto the full output, cropped by k - 1, and the reverse also holds.  So a
+thin layer (stride 1, fewer output than input channels, such as the
+generator head), where an im2col would copy c*k^2 values per pixel to
+produce o of them, runs each primitive as its twin, which is not thin and
+keeps temporaries at o*k^2 values per pixel.
 """
 
 from __future__ import annotations
@@ -70,24 +72,21 @@ def _per_pixel(w_mat, x):
     return w_mat @ x.reshape(len(x), w_mat.shape[1], -1)
 
 
+def _thin(o, c, stride):
+    """True where a primitive runs as its twin with ``_flip_t(w)``."""
+    return stride == 1 and o < c
+
+
 def _correlate(src, w, out_hw, stride):
     """Gather: ``out[n,o] = sum_{c,u,v} src[n,c,win(u,v)] w[o,c,u,v]``."""
     o, c, kh, kw = w.shape
-    out = np.zeros((len(src), o, *out_hw))
-    if stride == 1 and o < c:
-        # thin output: contract the channels first, o*k^2 values per pixel
-        # where an im2col would copy c*k^2, then add the shifted taps
-        w_taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
-        for s in _chunks(len(src)):
-            acc = out[s]
-            t = _per_pixel(w_taps, src[s]).reshape(len(acc), kh, kw, o,
-                                                   *src.shape[2:])
-            for u, v, win in _taps((kh, kw), out_hw, 1):
-                acc += t[:, u, v][win]
-            del t  # freed before the next chunk's is built
-        return out
+    if _thin(o, c, stride):
+        full_hw = [s + k - 1 for s, k in zip(src.shape[2:], (kh, kw))]
+        full = _correlate_adjoint(src, _flip_t(w), full_hw, 1)
+        return full[..., kh - 1:kh - 1 + out_hw[0], kw - 1:kw - 1 + out_hw[1]]
     # im2col: the reshape in _per_pixel copies the c*k^2 window of every
     # output pixel into one column, then one GEMM per sample
+    out = np.zeros((len(src), o, *out_hw))
     cols = _windows(src, (kh, kw), out_hw, stride).transpose(0, 1, 4, 5, 2, 3)
     w_mat = w.reshape(o, c * kh * kw)
     for s in _chunks(len(src)):
@@ -98,8 +97,7 @@ def _correlate(src, w, out_hw, stride):
 def _correlate_adjoint(g, w, src_hw, stride):
     """Scatter: adjoint of ``_correlate`` in ``src``, onto ``src_hw``."""
     o, c, kh, kw = w.shape
-    if stride == 1 and o < c:
-        # the gather of the fully padded g keeps temporaries at o*k^2/pixel
+    if _thin(o, c, stride):
         return _correlate(_full_pad(g, w.shape[2:]), _flip_t(w), src_hw, 1)
     out = np.zeros((len(g), c, *src_hw))
     w_taps = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
@@ -115,17 +113,10 @@ def _correlate_adjoint(g, w, src_hw, stride):
 
 def _correlate_weight_grad(src, g, kernel, stride):
     """Adjoint of ``_correlate`` in ``w``, laid out like ``w``."""
-    o, c = g.shape[1], src.shape[1]
-    grad_w = np.zeros((o, c, *kernel))
-    if stride == 1 and o < c:
-        # the same sums read from the windows of the fully padded g, which
-        # hold o*k^2 values per pixel, with the taps flipped back
-        win = _windows(_full_pad(g, kernel), kernel, src.shape[2:], 1)
-        for s in _chunks(len(g)):
-            grad_w += np.tensordot(win[s], src[s],
-                                   axes=([0, 2, 3], [0, 2, 3])) \
-                .transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
-        return grad_w
+    if _thin(g.shape[1], src.shape[1], stride):
+        return _flip_t(_correlate_weight_grad(_full_pad(g, kernel), src,
+                                              kernel, 1))
+    grad_w = np.zeros((g.shape[1], src.shape[1], *kernel))
     win = _windows(src, kernel, g.shape[2:], stride)
     for s in _chunks(len(g)):
         grad_w += np.tensordot(g[s], win[s], axes=([0, 2, 3], [0, 2, 3]))

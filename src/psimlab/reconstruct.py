@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import Image, PhaseMap, wrap_to_pi
+from .image import PhaseMap
 from .simulate import InterferogramStack
 
 
@@ -102,11 +102,9 @@ def unwrap_phase(wrapped: PhaseMap, quality: QualityMap) -> PhaseMap:
     rows, cols = w.shape
 
     if np.all(q == 0.0):
+        # every rank ties, so the fill runs row-major from (0, 0)
         warnings.warn("all-zero quality map; unwrapping in raster order",
                       stacklevel=2)
-        out = _raster_itoh(w)
-        return PhaseMap(out, wrapped=False,
-                        meta={"seed_pixel": (0, 0), "seed_branch": 0})
 
     # rank 0 is the argmax, ties broken row-major: the stable sort keeps the
     # row-major order among equal qualities
@@ -173,26 +171,6 @@ def unwrap_phase(wrapped: PhaseMap, quality: QualityMap) -> PhaseMap:
     out = np.array(out).reshape(rows + 2, stride)[1:-1, 1:-1]
     return PhaseMap(out, wrapped=False,
                     meta={"seed_pixel": (sr, sc), "seed_branch": 0})
-
-
-def _raster_itoh(w: np.ndarray) -> np.ndarray:
-    """Row-by-row cumulative unwrapping, first column unwrapped vertically."""
-    two_pi = 2.0 * math.pi
-
-    def cum_unwrap(line):
-        d = np.diff(line)
-        d -= two_pi * np.round(d / two_pi)
-        out = np.empty_like(line)
-        out[0] = line[0]
-        out[1:] = line[0] + np.cumsum(d)
-        return out
-
-    out = np.empty_like(w)
-    first_col = cum_unwrap(w[:, 0])
-    for r in range(w.shape[0]):
-        row = cum_unwrap(w[r])
-        out[r] = row + (first_col[r] - row[0])
-    return out
 
 
 def phase_to_height(phase: PhaseMap, lambda0: float) -> HeightMap:

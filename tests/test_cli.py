@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psimlab import PhaseMap, io
 from psimlab.cli import build_parser, main
@@ -85,6 +87,29 @@ class TestSimulate:
         assert main(["simulate", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("cfg", [[{"count": 1}], {"count": 1, "model": []}],
+                             ids=["config_list", "model_list"])
+    def test_non_object_config_exits_2(self, tmp_path, cfg):
+        config = write_config(tmp_path / "c.json", cfg)
+        assert main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+
+    def test_seed_flag_overrides_config_seed(self, sim_dir, tmp_path):
+        config = write_config(tmp_path / "c.json",
+                              {"count": 5, "width": 16, "height": 16,
+                               "seed": 0, "object_family": "cell_blobs"})
+        runs = {}
+        for seed in (0, 7):
+            out = tmp_path / f"seed{seed}"
+            assert main(["simulate", "--config", config, "--out", str(out),
+                         "--seed", str(seed)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["seeds"] == {"master": seed}
+            runs[seed] = (out / "sample_00000" / "frame_1.pfm").read_bytes()
+        # --seed 0 is the config's own seed, so it reproduces sim_dir
+        assert runs[0] == (sim_dir / "sample_00000" / "frame_1.pfm").read_bytes()
+        assert runs[7] != runs[0]
+
 
 class TestReconstruct:
     def test_noiseless_round_trip(self, sim_dir, tmp_path):
@@ -152,6 +177,25 @@ class TestReconstruct:
         assert self.corrupt_frame(sim_dir, tmp_path,
                                   lambda raw: raw[:-4] + nan) == 4
         assert "NaN" in caplog.text
+
+    @pytest.mark.parametrize("command,sidecar,text", [
+        ("reconstruct", "frame_1.pfm.json", "[]"),
+        ("reconstruct", "frame_1.pfm.json", "3"),
+        ("reconstruct", "frame_1.pfm.json", '{"realized_shifts": 5}'),
+        ("reconstruct", "frame_1.pfm.json", '{"realized_shifts": [0, 1]}'),
+        ("reconstruct", "frame_1.pfm.json", '{"lambda0_nm": "x"}'),
+        ("reconstruct", "frame_1.pfm.json", '{"lambda0_nm": [1, 2]}'),
+        ("eval", "phase_gt.pfm.json", "[]"),
+    ])
+    def test_malformed_sidecar_exits_4(self, sim_dir, tmp_path, command,
+                                       sidecar, text):
+        data = tmp_path / "data"
+        shutil.copytree(sim_dir / "sample_00000", data / "sample_00000")
+        (data / "sample_00000" / sidecar).write_text(text)
+        argv = [command, "--data", str(data), "--out", str(tmp_path / "out")]
+        if command == "eval":
+            argv += ["--pred", str(sim_dir)]
+        assert main(argv) == 4
 
 
 class TestTrainInfer:
@@ -317,6 +361,24 @@ class TestTrainInfer:
         assert main(["train", "--config", cfg, "--data", str(sim_dir),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("cfg", [
+        [{"spec": TINY_SPEC}],
+        {"spec": TINY_SPEC, "steps": "many"},
+        {"spec": TINY_SPEC, "seed": "x"},
+        {"spec": TINY_SPEC, "batch_size": "x"},
+        {"spec": TINY_SPEC, "split_seed": [1]},
+        {"spec": TINY_SPEC, "train_count": "x"},
+        {"spec": TINY_SPEC, "train_fraction": "x"},
+        {"spec": []},
+    ], ids=["config_list", "steps", "seed", "batch_size", "split_seed",
+            "train_count", "train_fraction", "spec_list"])
+    def test_bad_config_field_exits_2(self, sim_dir, tmp_path, cfg):
+        config = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert main(["train", "--config", config, "--data", str(sim_dir),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestEval:
     def make_perfect_pair(self, tmp_path, width=256, height=16):
@@ -385,6 +447,77 @@ class TestEval:
             assert entry["ssim_foreground"] == masked_mean_ssim(
                 aligned, truth.data, mask, params)
             assert entry["rms"] == rms_error(aligned, truth.data)
+
+
+def mutate(data, raw):
+    """Draw a truncation, up to eight bit flips or a splice of ``raw``.
+
+    The splice joins a prefix to a suffix, which drops or repeats a span.
+    No draw makes a checkpoint ask for a large network: eight flips add at
+    most a digit or two to a layer size in the header, and a splice that
+    moves header bytes breaks the header's length prefix.  Returns (kind,
+    mutated bytes).
+    """
+    kind = data.draw(st.sampled_from(["truncate", "flip", "splice"]))
+    if kind == "truncate":
+        return kind, raw[:data.draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        out = bytearray(raw)
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1),
+                                      min_size=1, max_size=8)):
+            out[bit // 8] ^= 1 << bit % 8
+        return kind, bytes(out)
+    cut = st.integers(0, len(raw))
+    return kind, raw[:data.draw(cut)] + raw[data.draw(cut):]
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(sim_dir, tmp_path_factory):
+    """One sample, its reconstruction and a tiny phase-mode checkpoint."""
+    root = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(sim_dir / "sample_00000", root / "data" / "sample_00000")
+    assert main(["reconstruct", "--data", str(root / "data"),
+                 "--out", str(root / "recon")]) == 0
+    config = write_config(root / "train.json",
+                          {"spec": TINY_SPEC, "steps": 1, "seed": 0})
+    assert main(["train", "--config", config, "--data", str(sim_dir),
+                 "--out", str(root / "run")]) == 0
+    return root
+
+
+class TestExitCodeFuzz:
+    """Hostile bytes in a checkpoint, a PFM or a sidecar end in a documented
+    exit code, never in a traceback."""
+
+    @pytest.mark.parametrize("command,target", [
+        ("infer", "run/checkpoint.ckpt"),
+        ("reconstruct", "data/sample_00000/frame_1.pfm"),
+        ("infer", "data/sample_00000/frame_1.pfm"),
+        ("eval", "data/sample_00000/phase_gt.pfm"),
+        ("reconstruct", "data/sample_00000/frame_1.pfm.json"),
+        ("eval", "data/sample_00000/phase_gt.pfm.json"),
+    ])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_input_exits_with_a_documented_code(
+            self, fuzz_root, command, target, data):
+        argv = {"infer": ["infer", "--checkpoint",
+                          str(fuzz_root / "run" / "checkpoint.ckpt")],
+                "reconstruct": ["reconstruct"],
+                "eval": ["eval", "--pred", str(fuzz_root / "recon")]}[command]
+        argv += ["--data", str(fuzz_root / "data"),
+                 "--out", str(fuzz_root / "out")]
+        path = fuzz_root / target
+        original = path.read_bytes()
+        kind, mutated = mutate(data, original)
+        path.write_bytes(mutated)
+        try:
+            code = main(argv)
+        finally:
+            path.write_bytes(original)
+        assert code in (0, 3, 4, 6)
+        if kind == "truncate" and not target.endswith(".json"):
+            assert code != 0
 
 
 class TestFlags:

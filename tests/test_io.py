@@ -31,6 +31,17 @@ class TestPfm:
         with pytest.raises(ValueError):
             io.read_pfm(path)
 
+    @pytest.mark.parametrize("header", [b"Pf\n99999999 99999999\n-1.0\n",
+                                        b"Pf\n-1 4\n-1.0\n",
+                                        b"Pf\n0 4\n-1.0\n"],
+                             ids=["huge", "negative", "zero"])
+    def test_rejects_header_the_file_cannot_hold(self, tmp_path, header):
+        # the huge claim must fail on the file size, not on allocating it
+        path = tmp_path / "x.pfm"
+        path.write_bytes(header + bytes(16))
+        with pytest.raises(ValueError):
+            io.read_pfm(path)
+
     def test_sidecar_round_trip(self, tmp_path):
         path = tmp_path / "p.pfm"
         io.save_phase(path, PhaseMap(np.zeros((8, 8)), wrapped=True), seed=7)

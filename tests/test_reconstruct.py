@@ -341,6 +341,17 @@ class TestUnwrapMatchesHeapOracle:
         assert_matches_heap_oracle(five_step_wrapped_phase(stack),
                                    modulation_amplitude(stack))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (12, 9)])
+    def test_all_zero_quality_warns_and_fills_from_the_origin(self, shape):
+        rng = np.random.default_rng(shape[0] * 17 + shape[1])
+        wrapped = PhaseMap(wrap_to_pi(rng.uniform(-8, 8, shape)), wrapped=True)
+        quality = QualityMap(np.zeros(shape))
+        with pytest.warns(UserWarning, match="raster"):
+            out = unwrap_phase(wrapped, quality)
+        expected, _ = heap_unwrap_oracle(wrapped, quality)
+        assert out.data.tobytes() == expected.tobytes()
+        assert out.meta["seed_pixel"] == (0, 0)
+
     def test_plateau_quality(self):
         # two quality levels in blocks: whole plateaus tie at every pop
         rng = np.random.default_rng(3)
