@@ -268,9 +268,13 @@ def cmd_train(args):
     save_gan(ckpt, state)
     with open(out / "loss.csv", "w") as fh:
         fh.write("step,L_D,L_G_adv,L_G_l1\n")
-        for i, (ld, lga, lgl1) in enumerate(state.history, start=1):
+        # rows are numbered by global step, so a resumed run continues
+        # from its checkpoint's step
+        first = state.step - len(state.history) + 1
+        for i, (ld, lga, lgl1) in enumerate(state.history, start=first):
             fh.write(f"{i},{ld!r},{lga!r},{lgl1!r}\n")
-    _write_manifest(out, "train", _hash_obj(cfg), {"train": seed},
+    # a resumed run trains with its checkpoint's seed, not the flag's
+    _write_manifest(out, "train", _hash_obj(cfg), {"train": state.seed},
                     [str(args.data)], [str(ckpt)], started,
                     {"train": train_time})
     return EXIT_OK

@@ -45,7 +45,9 @@ def read_pfm(path) -> np.ndarray:
                              f"data bytes")
         raw = fh.read(want)
     data = np.frombuffer(raw, dtype="<f4" if scale < 0 else ">f4")
-    return np.flipud(data.reshape(height, width)).astype(np.float64)
+    # a signalling NaN warns in the cast; callers check finiteness themselves
+    with np.errstate(invalid="ignore"):
+        return np.flipud(data.reshape(height, width)).astype(np.float64)
 
 
 def write_sidecar(pfm_path, role: str, units: str, **extra):

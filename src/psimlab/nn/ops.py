@@ -7,15 +7,28 @@ transposed conv.
 
 All four conv ops are built from one correlation core: a gather, its
 adjoint in the input (a scatter) and its gradient in the weights.  Each
-does one BLAS contraction per chunk of at most ``CHUNK`` samples over a
-``sliding_window_view`` of its input (im2col; Chellapilla, Puri & Simard,
-2006), never a loop of per-tap einsums.  At stride 1 a gather with kernel
-``w`` is the scatter with the flipped, transposed kernel ``_flip_t(w)``
-onto the full output, cropped by k - 1, and the reverse also holds.  So a
-thin layer (stride 1, fewer output than input channels, such as the
-generator head), where an im2col would copy c*k^2 values per pixel to
-produce o of them, runs each primitive as its twin, which is not thin and
-keeps temporaries at o*k^2 values per pixel.
+runs BLAS products over chunks of samples, never a loop of per-tap
+einsums.  A chunk takes as many samples as keep its largest temporary
+within ``BUDGET`` values, so a deep layer with few pixels runs its whole
+batch at once while a large layer on a large batch keeps peak memory
+bounded.  The gather copies the ``sliding_window_view`` windows of its
+input into columns (im2col; Chellapilla, Puri & Simard, 2006) and
+multiplies each sample's columns by the kernel; the weight gradient is one
+GEMM per sample against the same columns, ``g_i @ cols_i.T``; the scatter
+multiplies by the kernel first and adds each tap's slice into its strided
+window.  The backward of transposed conv needs the gather of the padded
+``grad_y`` and its weight gradient against ``x``, so one set of columns
+per chunk feeds both products.  At stride 1 a gather with kernel ``w`` is
+the scatter with the flipped, transposed kernel ``_flip_t(w)`` onto the
+full output, cropped by k - 1, and the reverse also holds.  So a thin
+layer (stride 1, fewer output than input channels, such as the generator
+head), where an im2col would copy c*k^2 values per pixel to produce o of
+them, runs each primitive as its twin, which is not thin and keeps
+temporaries at o*k^2 values per pixel.
+
+Padding, LeakyReLU and the instance-norm forward make fewer full-array
+passes and temporaries than their textbook formulas, with bitwise the same
+values.
 """
 
 from __future__ import annotations
@@ -41,13 +54,15 @@ def _taps(kernel, hw, stride):
                      slice(v, v + (hw[1] - 1) * stride + 1, stride))
 
 
-# Samples per GEMM: every temporary holds at most CHUNK samples, so a thin
-# layer on a large batch cannot blow up peak memory.
-CHUNK = 2
+# Values per chunk temporary (im2col columns, scatter taps): each GEMM
+# takes as many samples as fit, so a deep layer runs its whole batch in one
+# call while a large layer on a large batch cannot blow up peak memory.
+BUDGET = 2 ** 18
 
 
-def _chunks(n):
-    return (slice(i, i + CHUNK) for i in range(0, n, CHUNK))
+def _chunks(n, per_sample):
+    step = max(1, BUDGET // per_sample)
+    return (slice(i, i + step) for i in range(0, n, step))
 
 
 def _windows(src, kernel, out_hw, stride):
@@ -57,19 +72,31 @@ def _windows(src, kernel, out_hw, stride):
                :(out_hw[1] - 1) * stride + 1:stride]
 
 
-def _full_pad(g, kernel):
-    return np.pad(g, ((0, 0), (0, 0), (kernel[0] - 1,) * 2,
-                      (kernel[1] - 1,) * 2))
+def _im2col(src, kernel, out_hw, stride):
+    """(slice, columns) per chunk of samples, columns (len, c*kh*kw, oh*ow):
+    the reshape copies the c*k^2 window each output pixel reads into one
+    column, so a gather or its weight gradient is one GEMM per sample."""
+    rows = src.shape[1] * kernel[0] * kernel[1]
+    pixels = out_hw[0] * out_hw[1]
+    win = _windows(src, kernel, out_hw, stride).transpose(0, 1, 4, 5, 2, 3)
+    for s in _chunks(len(src), rows * pixels):
+        yield s, win[s].reshape(-1, rows, pixels)
+
+
+def _pad(x, ph, pw):
+    """``x`` (not a copy when both are 0) framed by ph zero rows above and
+    below and pw zero columns on each side."""
+    if not ph and not pw:
+        return x
+    h, w = x.shape[2:]
+    out = np.zeros((*x.shape[:2], h + 2 * ph, w + 2 * pw))
+    out[..., ph:ph + h, pw:pw + w] = x
+    return out
 
 
 def _flip_t(w):
     """Kernel whose stride-1 gather is the adjoint of ``w``'s gather."""
     return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-
-
-def _per_pixel(w_mat, x):
-    """``w_mat @ x[i]`` for each sample, pixels flattened: (n, rows, h*w)."""
-    return w_mat @ x.reshape(len(x), w_mat.shape[1], -1)
 
 
 def _thin(o, c, stride):
@@ -84,13 +111,11 @@ def _correlate(src, w, out_hw, stride):
         full_hw = [s + k - 1 for s, k in zip(src.shape[2:], (kh, kw))]
         full = _correlate_adjoint(src, _flip_t(w), full_hw, 1)
         return full[..., kh - 1:kh - 1 + out_hw[0], kw - 1:kw - 1 + out_hw[1]]
-    # im2col: the reshape in _per_pixel copies the c*k^2 window of every
-    # output pixel into one column, then one GEMM per sample
-    out = np.zeros((len(src), o, *out_hw))
-    cols = _windows(src, (kh, kw), out_hw, stride).transpose(0, 1, 4, 5, 2, 3)
-    w_mat = w.reshape(o, c * kh * kw)
-    for s in _chunks(len(src)):
-        out[s] = _per_pixel(w_mat, cols[s]).reshape(out[s].shape)
+    out = np.empty((len(src), o, *out_hw))
+    out_flat = out.reshape(len(src), o, -1)
+    w_mat = w.reshape(o, -1)
+    for s, cols in _im2col(src, (kh, kw), out_hw, stride):
+        np.matmul(w_mat, cols, out=out_flat[s])
     return out
 
 
@@ -98,13 +123,13 @@ def _correlate_adjoint(g, w, src_hw, stride):
     """Scatter: adjoint of ``_correlate`` in ``src``, onto ``src_hw``."""
     o, c, kh, kw = w.shape
     if _thin(o, c, stride):
-        return _correlate(_full_pad(g, w.shape[2:]), _flip_t(w), src_hw, 1)
+        return _correlate(_pad(g, kh - 1, kw - 1), _flip_t(w), src_hw, 1)
     out = np.zeros((len(g), c, *src_hw))
     w_taps = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
-    for s in _chunks(len(g)):
+    g_flat = g.reshape(len(g), o, -1)
+    for s in _chunks(len(g), w_taps.shape[0] * g_flat.shape[2]):
         dst = out[s]
-        t = _per_pixel(w_taps, g[s]).reshape(len(dst), kh, kw, c,
-                                             *g.shape[2:])
+        t = (w_taps @ g_flat[s]).reshape(len(dst), kh, kw, c, *g.shape[2:])
         for u, v, win in _taps((kh, kw), g.shape[2:], stride):
             dst[win] += t[:, u, v]
         del t  # freed before the next chunk's is built
@@ -113,18 +138,16 @@ def _correlate_adjoint(g, w, src_hw, stride):
 
 def _correlate_weight_grad(src, g, kernel, stride):
     """Adjoint of ``_correlate`` in ``w``, laid out like ``w``."""
-    if _thin(g.shape[1], src.shape[1], stride):
-        return _flip_t(_correlate_weight_grad(_full_pad(g, kernel), src,
-                                              kernel, 1))
-    grad_w = np.zeros((g.shape[1], src.shape[1], *kernel))
-    win = _windows(src, kernel, g.shape[2:], stride)
-    for s in _chunks(len(g)):
-        grad_w += np.tensordot(g[s], win[s], axes=([0, 2, 3], [0, 2, 3]))
-    return grad_w
-
-
-def _pad(x, p):
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    o, c = g.shape[1], src.shape[1]
+    if _thin(o, c, stride):
+        full = _pad(g, kernel[0] - 1, kernel[1] - 1)
+        return _flip_t(_correlate_weight_grad(full, src, kernel, 1))
+    grad_w = np.zeros((o, c * kernel[0] * kernel[1]))
+    g_flat = g.reshape(len(g), o, -1)
+    for s, cols in _im2col(src, kernel, g.shape[2:], stride):
+        for g_i, cols_i in zip(g_flat[s], cols):
+            grad_w += g_i @ cols_i.T
+    return grad_w.reshape(o, c, *kernel)
 
 
 def _crop(x, p):
@@ -139,12 +162,13 @@ def conv2d_forward(x, w, b, stride=1, padding=0):
               for s, k in zip(x.shape[2:], w.shape[2:])]
     if min(out_hw) < 1:
         raise ValueError("kernel larger than padded input")
-    y = _correlate(_pad(x, padding), w, out_hw, stride)
-    return y + b[None, :, None, None]
+    y = _correlate(_pad(x, padding, padding), w, out_hw, stride)
+    y += b[None, :, None, None]
+    return y
 
 
 def conv2d_backward(x, w, grad_y, stride=1, padding=0):
-    xp = _pad(x, padding)
+    xp = _pad(x, padding, padding)
     grad_xp = _correlate_adjoint(grad_y, w, xp.shape[2:], stride)
     grad_w = _correlate_weight_grad(xp, grad_y, w.shape[2:], stride)
     return _crop(grad_xp, padding), grad_w, grad_y.sum(axis=(0, 2, 3))
@@ -161,14 +185,31 @@ def conv_transpose2d_forward(x, w, b, stride=1, padding=0):
 
 
 def conv_transpose2d_backward(x, w, grad_y, stride=1, padding=0):
-    grad_yf = _pad(grad_y, padding)
-    grad_x = _correlate(grad_yf, w, x.shape[2:], stride)
-    grad_w = _correlate_weight_grad(grad_yf, x, w.shape[2:], stride)
-    return grad_x, grad_w, grad_y.sum(axis=(0, 2, 3))
+    """``grad_x`` is the gather of the padded ``grad_y`` with ``w`` and
+    ``grad_w`` contracts the same windows with ``x``, so outside the thin
+    route one im2col per chunk feeds both GEMMs."""
+    grad_yf = _pad(grad_y, padding, padding)
+    c, o = w.shape[:2]
+    if _thin(c, o, stride):
+        grad_x = _correlate(grad_yf, w, x.shape[2:], stride)
+        grad_w = _correlate_weight_grad(grad_yf, x, w.shape[2:], stride)
+        return grad_x, grad_w, grad_y.sum(axis=(0, 2, 3))
+    grad_x = np.empty(x.shape)
+    gx_flat = grad_x.reshape(len(x), c, -1)
+    x_flat = x.reshape(len(x), c, -1)
+    w_mat = w.reshape(c, -1)
+    grad_w = np.zeros(w_mat.shape)
+    for s, cols in _im2col(grad_yf, w.shape[2:], x.shape[2:], stride):
+        np.matmul(w_mat, cols, out=gx_flat[s])
+        for x_i, cols_i in zip(x_flat[s], cols):
+            grad_w += x_i @ cols_i.T
+    return grad_x, grad_w.reshape(w.shape), grad_y.sum(axis=(0, 2, 3))
 
 
 def leaky_relu_forward(x, alpha=0.2):
-    return np.where(x >= 0, x, alpha * x)
+    # for 0 < alpha < 1 the larger of x and alpha*x is x where x >= 0
+    # (-0.0 included) and alpha*x below, in one pass after the product
+    return np.maximum(x, alpha * x)
 
 
 def leaky_relu_backward(x, grad_y, alpha=0.2):
@@ -210,11 +251,15 @@ def instance_norm_forward(x, gamma, beta, eps=1e-5):
     n, c, h, w = x.shape
     if h * w < 2:
         raise ValueError("instance norm needs spatial size >= 2")
-    mu = x.mean(axis=(2, 3), keepdims=True)
-    var = x.var(axis=(2, 3), keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
-    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    # x - mu is formed once; the variance is the sum of its squares over
+    # h*w, the operations np.var runs, so xhat and y match the textbook
+    # (x - mu) / sqrt(var + eps) bit for bit
+    xhat = x - x.mean(axis=(2, 3), keepdims=True)
+    y = np.square(xhat)
+    inv_std = 1.0 / np.sqrt(y.sum(axis=(2, 3), keepdims=True) / (h * w) + eps)
+    xhat *= inv_std
+    np.multiply(gamma[None, :, None, None], xhat, out=y)
+    y += beta[None, :, None, None]
     cache = (xhat, inv_std, gamma)
     return y, cache
 

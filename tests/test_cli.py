@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,36 @@ class TestTrainInfer:
         assert (resumed / "checkpoint.ckpt").read_bytes() == \
             (straight / "checkpoint.ckpt").read_bytes()
 
+    def test_resumed_loss_log_is_numbered_by_global_step(self, sim_dir,
+                                                         tmp_path):
+        cfg = self.train_cfg(tmp_path)
+        first, resumed = tmp_path / "first", tmp_path / "resumed"
+        main(["train", "--config", cfg, "--data", str(sim_dir),
+              "--out", str(first), "--steps", "3"])
+        assert main(["train", "--config", cfg, "--data", str(sim_dir),
+                     "--out", str(resumed), "--steps", "2",
+                     "--checkpoint", str(first / "checkpoint.ckpt")]) == 0
+
+        def steps(run):
+            lines = (run / "loss.csv").read_text().splitlines()[1:]
+            return [line.split(",")[0] for line in lines]
+
+        assert steps(first) == ["1", "2", "3"]
+        assert steps(resumed) == ["4", "5"]
+
+    def test_manifest_records_the_seed_training_used(self, sim_dir,
+                                                      tmp_path):
+        cfg = self.train_cfg(tmp_path)  # seed 0
+        first, resumed = tmp_path / "first", tmp_path / "resumed"
+        main(["train", "--config", cfg, "--data", str(sim_dir),
+              "--out", str(first), "--steps", "1", "--seed", "3"])
+        assert main(["train", "--config", cfg, "--data", str(sim_dir),
+                     "--out", str(resumed), "--steps", "1", "--seed", "7",
+                     "--checkpoint", str(first / "checkpoint.ckpt")]) == 0
+        for run in (first, resumed):
+            manifest = json.loads((run / "manifest.json").read_text())
+            assert manifest["seeds"] == {"train": 3}
+
     def test_mode_flag_mismatch_exits_5(self, sim_dir, tmp_path):
         assert main(["train", "--config", self.train_cfg(tmp_path),
                      "--data", str(sim_dir), "--out", str(tmp_path / "o"),
@@ -421,6 +452,18 @@ class TestEval:
                       PhaseMap(np.zeros((4, 4)), wrapped=False))
         assert main(["eval", "--data", str(data), "--pred", str(pred),
                      "--out", str(tmp_path / "e")]) == 4
+
+    def test_signalling_nan_in_truth_exits_4_without_warning(self,
+                                                              tmp_path):
+        data, pred = self.make_perfect_pair(tmp_path)
+        truth = data / "sample_00000" / "phase_gt.pfm"
+        snan = np.array([0x7FA00000], dtype="<u4").tobytes()
+        truth.write_bytes(truth.read_bytes()[:-4] + snan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(io.read_pfm(truth)[0, -1])
+            assert main(["eval", "--data", str(data), "--pred", str(pred),
+                         "--out", str(tmp_path / "e")]) == 4
 
     def test_missing_prediction_exits_4(self, tmp_path):
         data, pred = self.make_perfect_pair(tmp_path)

@@ -206,6 +206,157 @@ class TestConvCoreOracle:
         assert peak < 16e6
 
 
+def brute_weight_grad(x, gy, k, stride, pad):
+    """d<conv(x, w), gy>/dw, one kernel entry at a time through
+    ``brute_conv2d`` (the conv is linear in w)."""
+    grad = np.zeros((gy.shape[1], x.shape[1], k, k))
+    for ci in range(x.shape[1]):
+        for u, v in np.ndindex(k, k):
+            e = np.zeros((1, 1, k, k))
+            e[0, 0, u, v] = 1.0
+            y = brute_conv2d(x[:, ci:ci + 1], e, np.zeros(1), stride, pad)
+            grad[:, ci, u, v] = np.sum(y * gy, axis=(0, 2, 3))
+    return grad
+
+
+# (batch, in, out, kernel, stride, padding, input hw): a batch of 5 leaves
+# a partial last chunk of 1 when the budget holds 2 samples
+WGRAD_CASES = [
+    (5, 2, 3, 3, 1, 1, (5, 6)),
+    (5, 3, 2, 4, 2, 1, (8, 6)),
+    (5, 4, 1, 3, 1, 1, (5, 5)),  # thin: runs as its flipped twin
+]
+
+
+class TestWeightGradChunks:
+    """Weight gradients against ``brute_weight_grad`` with the value budget
+    set to hold 1, 2 and all 5 samples per GEMM."""
+
+    @staticmethod
+    def values_per_sample(c, o, k, stride, pad, hw):
+        if stride == 1 and o < c:  # the twin gathers o channels
+            return o * k * k * (hw[0] + 2 * pad) * (hw[1] + 2 * pad)
+        out_hw = [(s + 2 * pad - k) // stride + 1 for s in hw]
+        return c * k * k * out_hw[0] * out_hw[1]
+
+    @pytest.mark.parametrize("samples", [1, 2, 5])
+    @pytest.mark.parametrize("n,c,o,k,stride,pad,hw", WGRAD_CASES)
+    def test_conv2d(self, monkeypatch, samples, n, c, o, k, stride, pad,
+                    hw):
+        monkeypatch.setattr(ops, "BUDGET", samples * self.values_per_sample(
+            c, o, k, stride, pad, hw))
+        rng = np.random.default_rng(c * 10 + o)
+        x = rng.normal(size=(n, c, *hw))
+        w = rng.normal(size=(o, c, k, k))
+        gy = rng.normal(size=ops.conv2d_forward(x, w, np.zeros(o), stride,
+                                                pad).shape)
+        _, gw, _ = ops.conv2d_backward(x, w, gy, stride, pad)
+        ref = brute_weight_grad(x, gy, k, stride, pad)
+        assert np.max(np.abs(gw - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("samples", [1, 2, 5])
+    @pytest.mark.parametrize("n,c,o,k,stride,pad,hw", WGRAD_CASES)
+    def test_conv_transpose2d(self, monkeypatch, samples, n, c, o, k, stride,
+                              pad, hw):
+        # the transposed conv with kernel w (in=o, out=c) maps (n, o, out_hw)
+        # to (n, c, hw); its weight gradient is conv2d's with x and gy swapped
+        monkeypatch.setattr(ops, "BUDGET", samples * self.values_per_sample(
+            c, o, k, stride, pad, hw))
+        rng = np.random.default_rng(c * 10 + o + 1)
+        w = rng.normal(size=(o, c, k, k))
+        gy = rng.normal(size=(n, c, *hw))
+        x = rng.normal(size=ops.conv2d_forward(gy, w, np.zeros(o), stride,
+                                               pad).shape)
+        y = ops.conv_transpose2d_forward(x, w, np.zeros(c), stride, pad)
+        assert y.shape == gy.shape
+        _, gw, _ = ops.conv_transpose2d_backward(x, w, gy, stride, pad)
+        ref = brute_weight_grad(gy, x, k, stride, pad)
+        assert np.max(np.abs(gw - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestSinglePassKernels:
+    """Bitwise equal to the formulas they replaced, written out here."""
+
+    @staticmethod
+    def probe(shape, seed=0):
+        x = np.random.default_rng(seed).normal(size=shape)
+        x.flat[:6] = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300)
+        return x
+
+    @pytest.mark.parametrize("ph,pw", [(1, 1), (2, 2), (2, 3), (0, 1),
+                                       (0, 0)])
+    def test_pad(self, ph, pw):
+        x = self.probe((3, 4, 5, 7))
+        ref = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        assert ops._pad(x, ph, pw).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.01, 0.5])
+    def test_leaky_relu_forward(self, alpha):
+        x = self.probe((2, 3, 8, 8))
+        ref = np.where(x >= 0, x, alpha * x)
+        y = ops.leaky_relu_forward(x, alpha)
+        assert y.tobytes() == ref.tobytes()
+        assert np.signbit(y.flat[1])  # -0.0 stays -0.0
+
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (1, 5, 7, 9),
+                                       (8, 64, 8, 8)])
+    def test_instance_norm_forward(self, shape):
+        rng = np.random.default_rng(2)
+        x = rng.normal(1.5, 3.0, size=shape)
+        x.flat[:2] = (0.0, -0.0)
+        gamma, beta = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+        eps = 1e-5
+        mu = x.mean(axis=(2, 3), keepdims=True)
+        var = x.var(axis=(2, 3), keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mu) * inv_std
+        ref = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+        y, (xhat_c, inv_std_c, gamma_c) = ops.instance_norm_forward(
+            x, gamma, beta, eps)
+        assert y.tobytes() == ref.tobytes()
+        assert xhat_c.tobytes() == xhat.tobytes()
+        assert inv_std_c.tobytes() == inv_std.tobytes()
+        assert gamma_c is gamma
+
+
+def _layers_under_test():
+    rng = np.random.default_rng(9)
+    cases = [
+        (Conv2d(3, 4, 4, stride=2, padding=1, rng=rng), (2, 3, 8, 8)),
+        (Conv2d(5, 1, 3, stride=1, padding=1, rng=rng), (2, 5, 6, 6)),
+        (ConvTranspose2d(4, 3, 4, stride=2, padding=1, rng=rng),
+         (2, 4, 4, 4)),
+        (ConvTranspose2d(2, 5, 3, stride=1, padding=1, rng=rng),
+         (2, 2, 5, 5)),
+        # padding 0: the convs read their input itself, not a padded copy
+        (Conv2d(3, 4, 1, rng=rng), (2, 3, 5, 5)),
+        (Conv2d(5, 2, 3, rng=rng), (2, 5, 6, 6)),
+        (ConvTranspose2d(4, 3, 2, stride=2, rng=rng), (2, 4, 3, 3)),
+        (InstanceNorm(3), (2, 3, 5, 5)),
+        (LeakyReLU(0.2), (2, 3, 5, 5)),
+        (ReLU(), (2, 3, 5, 5)),
+        (Tanh(), (2, 3, 5, 5)),
+        (Sigmoid(), (2, 3, 5, 5)),
+        (Sequential(Conv2d(3, 4, 3, padding=1, rng=rng), InstanceNorm(4),
+                    LeakyReLU(0.2)), (2, 3, 6, 6)),
+    ]
+    return [pytest.param(layer, shape, id=f"{type(layer).__name__}-{i}")
+            for i, (layer, shape) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("layer,shape", _layers_under_test())
+def test_layer_leaves_its_inputs_unchanged(layer, shape):
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=shape)
+    x_before = x.copy()
+    y = layer.forward(x)
+    gy = rng.normal(size=y.shape)
+    gy_before = gy.copy()
+    layer.backward(gy)
+    assert x.tobytes() == x_before.tobytes()
+    assert gy.tobytes() == gy_before.tobytes()
+
+
 class TestActivations:
     def test_fixed_points(self):
         z = np.zeros((1, 1, 2, 2))
