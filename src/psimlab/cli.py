@@ -1,13 +1,15 @@
 """Command-line pipeline: simulate, reconstruct, train, infer, eval.
 
 Exit codes are a stable contract: 0 success, 2 config error, 3 I/O error,
-4 data-shape error, 5 mode mismatch, 6 checkpoint integrity failure.
+4 data-shape error (including training data whose side differs from the
+spec's ``image_side``), 5 mode mismatch, 6 checkpoint integrity failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import logging
@@ -167,9 +169,9 @@ def cmd_simulate(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    t0 = time.monotonic()
-    dataset = synth_dataset(count, width, height, family, model, seed)
-    sim_time = time.monotonic() - t0
+    timings = {}
+    with _timed(timings, "simulate"):
+        dataset = synth_dataset(count, width, height, family, model, seed)
 
     outputs = []
     for idx, (stack, truth) in enumerate(dataset):
@@ -184,8 +186,7 @@ def cmd_simulate(args):
                       lambda0_nm=model.source.lambda0, seed=stack.seed)
         outputs.append(str(d))
     _write_manifest(out, "simulate", _hash_obj(cfg), {"master": seed},
-                    [str(args.config)], outputs, started,
-                    {"simulate": sim_time})
+                    [str(args.config)], outputs, started, timings)
     log.info("wrote %d samples to %s", count, out)
     return EXIT_OK
 
@@ -237,6 +238,9 @@ def cmd_train(args):
             train_count = int(train_count)
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_CONFIG, f"bad train config: {exc}")
+    if steps < 0 or batch_size < 1:
+        raise CliError(EXIT_CONFIG,
+                       "steps must be >= 0 and batch_size >= 1")
     if args.mode and args.mode != spec.mode:
         raise CliError(EXIT_MODE,
                        f"--mode {args.mode} != config mode {spec.mode}")
@@ -257,10 +261,14 @@ def cmd_train(args):
             raise CliError(EXIT_MODE, "checkpoint mode differs from config")
     else:
         state = init_gan(spec, seed=seed, norm_info=norm_info)
+    side = state.spec.image_side
+    if any(stack.shape != (side, side) for stack, _ in train_set):
+        raise CliError(EXIT_DATA, f"training data is not {side}x{side}, "
+                       "the spec's image_side")
 
-    t0 = time.monotonic()
-    train(state, pairs, steps, batch_size=batch_size)
-    train_time = time.monotonic() - t0
+    timings = {}
+    with _timed(timings, "train"):
+        train(state, pairs, steps, batch_size=batch_size)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -275,8 +283,7 @@ def cmd_train(args):
             fh.write(f"{i},{ld!r},{lga!r},{lgl1!r}\n")
     # a resumed run trains with its checkpoint's seed, not the flag's
     _write_manifest(out, "train", _hash_obj(cfg), {"train": state.seed},
-                    [str(args.data)], [str(ckpt)], started,
-                    {"train": train_time})
+                    [str(args.data)], [str(ckpt)], started, timings)
     return EXIT_OK
 
 
@@ -381,8 +388,9 @@ def cmd_eval(args):
 
     report = {
         "metric": "phase-map comparison",
-        "params": {"ssim_window": 11, "sigma": 1.5, "k1": 0.01, "k2": 0.03,
-                   "dynamic_range": "truth peak-to-peak"},
+        # the samples' params differ only in dynamic_range
+        "params": dict(dataclasses.asdict(params),
+                       dynamic_range="truth peak-to-peak"),
         "mean_ssim_full": float(np.mean([e["ssim_full"] for e in per_sample])),
         "mean_ssim_foreground": float(np.mean(
             [e["ssim_foreground"] for e in per_sample])),

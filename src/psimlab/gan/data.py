@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -13,21 +13,12 @@ from scipy import ndimage
 class PairedSample:
     """One normalized (input, target) training pair.
 
-    ``norm`` records, per role, the (offset, scale) affine used so that
-    denormalize(normalize(x)) round-trips: normalized = (x - offset) / scale.
+    The ranges that normalized it are dataset-wide; ``build_pairs`` returns
+    them once, in its ``norm_info``.
     """
 
     input: np.ndarray
     target: np.ndarray
-    norm: dict = field(default_factory=dict)
-
-    def denorm_input(self):
-        off, scale = self.norm["input"]
-        return self.input * scale + off
-
-    def denorm_target(self):
-        off, scale = self.norm["target"]
-        return self.target * scale + off
 
 
 def _affine_to_unit(lo, hi):
@@ -87,49 +78,32 @@ def build_pairs(dataset, mode):
     lo, hi = intensity_range
     if mode == "frames":
         for stack, _ in dataset:
-            rec = {"input": _affine_to_unit(lo, hi),
-                   "target": _affine_to_unit(lo, hi)}
             for k in range(4):
                 pairs.append(PairedSample(
                     normalize(stack.frames[k].data, lo, hi),
-                    normalize(stack.frames[k + 1].data, lo, hi),
-                    dict(rec)))
+                    normalize(stack.frames[k + 1].data, lo, hi)))
         return pairs, norm_info
 
     norm_info["phase_range"] = dataset_phase_range(dataset)
     plo, phi = norm_info["phase_range"]
     for stack, truth in dataset:
-        rec = {"input": _affine_to_unit(lo, hi),
-               "target": _affine_to_unit(plo, phi)}
         pairs.append(PairedSample(
             normalize(stack.frames[0].data, lo, hi),
-            np.clip(normalize(truth.data, plo, phi), -1.0, 1.0),
-            rec))
+            np.clip(normalize(truth.data, plo, phi), -1.0, 1.0)))
     return pairs, norm_info
 
 
-def _transform(grid, op):
-    if op == "identity" or op == "rotate0":
-        return grid.copy()
-    if op == "flip_h":
-        return grid[:, ::-1].copy()
-    if op == "flip_v":
-        return grid[::-1, :].copy()
-    if op.startswith("rotate"):
-        deg = int(op[len("rotate"):])
-        if deg % 90 == 0:
-            return np.rot90(grid, k=(deg // 90) % 4).copy()
-        # bilinear about the center, reflect padding, same output size
-        return ndimage.rotate(grid, deg, reshape=False, order=1,
-                              mode="reflect")
-    raise ValueError(f"unknown augmentation op {op!r}")
+def _rotate(grid, deg):
+    if deg % 90 == 0:
+        return np.rot90(grid, k=(deg // 90) % 4).copy()
+    # bilinear about the center, reflect padding, same output size
+    return ndimage.rotate(grid, deg, reshape=False, order=1, mode="reflect")
 
 
-def augment(sample: PairedSample, op: str) -> PairedSample:
-    """Apply the same geometric transform to input and target."""
-    return PairedSample(_transform(sample.input, op),
-                        _transform(sample.target, op),
-                        dict(sample.norm))
+def augment(sample: PairedSample, deg: int) -> PairedSample:
+    """Rotate input and target together by ``deg`` degrees."""
+    return PairedSample(_rotate(sample.input, deg),
+                        _rotate(sample.target, deg))
 
 
 def rotations_12(samples):
@@ -137,7 +111,7 @@ def rotations_12(samples):
     out = []
     for s in samples:
         for k in range(12):
-            out.append(augment(s, f"rotate{30 * k}"))
+            out.append(augment(s, 30 * k))
     return out
 
 

@@ -98,14 +98,6 @@ def generator_loss(logits, g_out, target, lambda_l1):
     return adv, l1, grad_logits, lambda_l1 * np.sign(diff) / g_out.size
 
 
-def gan_losses(real_logits, fake_logits, g_out, target, lambda_l1):
-    """(L_D, L_G) under the standard conditional-GAN objective with L1."""
-    l_d = (discriminator_loss(real_logits, True)[0]
-           + discriminator_loss(fake_logits, False)[0])
-    adv, l1, _, _ = generator_loss(fake_logits, g_out, target, lambda_l1)
-    return l_d, adv + l1
-
-
 def _as_batch(pairs):
     x = np.stack([p.input for p in pairs])[:, None, :, :]
     y = np.stack([p.target for p in pairs])[:, None, :, :]

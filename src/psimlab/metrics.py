@@ -112,8 +112,7 @@ def align_global_offset(pred: PhaseMap, truth: PhaseMap) -> PhaseMap:
         raise ValueError("alignment applies to unwrapped phase maps")
     two_pi = 2.0 * math.pi
     offset = two_pi * np.round(np.median(pred.data - truth.data) / two_pi)
-    return PhaseMap(pred.data - offset, wrapped=False,
-                    meta=dict(pred.meta, branch_offset=float(offset)))
+    return PhaseMap(pred.data - offset, wrapped=False)
 
 
 def stitched_line_profile(stack: InterferogramStack, row: int) -> Profile:

@@ -5,51 +5,24 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .image import PhaseMap
+from .image import Image, PhaseMap
 from .simulate import InterferogramStack
 
 
-@dataclass
-class QualityMap:
+class QualityMap(Image):
     """Per-pixel fringe modulation amplitude, used as unwrapping quality."""
 
-    data: np.ndarray
-
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)) or np.any(self.data < 0):
-            raise ValueError("quality map must be finite and >= 0")
-
-    @property
-    def shape(self):
-        return self.data.shape
+        super().__post_init__()
+        if np.any(self.data < 0):
+            raise ValueError("quality map must be >= 0")
 
 
-@dataclass
-class HeightMap:
+class HeightMap(Image):
     """Surface height in nm."""
-
-    data: np.ndarray
-    lambda0: float = 520.0
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("height map must be finite")
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
-def _five_frames(stack: InterferogramStack):
-    if len(stack.frames) != 5:
-        raise ValueError("five-step reconstruction needs exactly 5 frames")
-    return [f.data for f in stack.frames]
 
 
 def five_step_wrapped_phase(stack: InterferogramStack) -> PhaseMap:
@@ -61,7 +34,7 @@ def five_step_wrapped_phase(stack: InterferogramStack) -> PhaseMap:
     (-pi, -pi/2, 0, pi/2, pi) schedule.  Pixels with zero modulation
     (numerator = denominator = 0) get phi = 0.
     """
-    i1, i2, i3, i4, i5 = _five_frames(stack)
+    i1, i2, i3, i4, i5 = (f.data for f in stack.frames)
     num = 2.0 * (i2 - i4)
     den = 2.0 * i3 - i1 - i5
     phi = np.arctan2(num, den)
@@ -73,7 +46,7 @@ def five_step_wrapped_phase(stack: InterferogramStack) -> PhaseMap:
 
 def modulation_amplitude(stack: InterferogramStack) -> QualityMap:
     """Fringe modulation B = sqrt((2(I2 - I4))^2 + (2 I3 - I1 - I5)^2) / 4."""
-    i1, i2, i3, i4, i5 = _five_frames(stack)
+    i1, i2, i3, i4, i5 = (f.data for f in stack.frames)
     num = 2.0 * (i2 - i4)
     den = 2.0 * i3 - i1 - i5
     return QualityMap(0.25 * np.hypot(num, den))
@@ -169,15 +142,14 @@ def unwrap_phase(wrapped: PhaseMap, quality: QualityMap) -> PhaseMap:
         state[p] = 2
 
     out = np.array(out).reshape(rows + 2, stride)[1:-1, 1:-1]
-    return PhaseMap(out, wrapped=False,
-                    meta={"seed_pixel": (sr, sc), "seed_branch": 0})
+    return PhaseMap(out, wrapped=False, meta={"seed_pixel": (sr, sc)})
 
 
 def phase_to_height(phase: PhaseMap, lambda0: float) -> HeightMap:
     """Reflection-mode conversion h = lambda0 * phi / (4 pi), nm."""
     if phase.wrapped:
         raise ValueError("phase must be unwrapped before height conversion")
-    return HeightMap(lambda0 * phase.data / (4.0 * math.pi), lambda0=lambda0)
+    return HeightMap(lambda0 * phase.data / (4.0 * math.pi))
 
 
 def reconstruct_stack(stack: InterferogramStack, lambda0: float = None):

@@ -173,8 +173,7 @@ def make_phase_object(spec: PhaseObjectSpec, width: int, height: int,
             r2 = (rows - r0) ** 2 + (cols - c0) ** 2
             h_nm += peak * np.exp(-r2 / (2.0 * radius ** 2))
 
-    return PhaseMap(height_to_phase(h_nm, lambda0), wrapped=False,
-                    meta={"lambda0_nm": lambda0, "kind": spec.kind})
+    return PhaseMap(height_to_phase(h_nm, lambda0), wrapped=False)
 
 
 def coherence_envelope(opd_nm, source: SourceSpec):

@@ -283,7 +283,7 @@ def test_criterion_05_ssim_oracle():
 # ---------------------------------------------------------------- criterion 6
 
 def test_criterion_06_augmentation_counts():
-    base = PairedSample(np.zeros((8, 8)), np.zeros((8, 8)), {})
+    base = PairedSample(np.zeros((8, 8)), np.zeros((8, 8)))
     n270 = len(rotations_12([base] * 270))
     n210 = len(rotations_12([base] * 210))
     ok = n270 == 3240 and n210 == 2520

@@ -401,14 +401,33 @@ class TestTrainInfer:
         {"spec": TINY_SPEC, "train_count": "x"},
         {"spec": TINY_SPEC, "train_fraction": "x"},
         {"spec": []},
+        {"spec": TINY_SPEC, "steps": -3},
+        {"spec": TINY_SPEC, "batch_size": 0},
     ], ids=["config_list", "steps", "seed", "batch_size", "split_seed",
-            "train_count", "train_fraction", "spec_list"])
+            "train_count", "train_fraction", "spec_list", "negative_steps",
+            "zero_batch_size"])
     def test_bad_config_field_exits_2(self, sim_dir, tmp_path, cfg):
         config = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "o"
         assert main(["train", "--config", config, "--data", str(sim_dir),
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_image_side_differs_from_data_exits_4(self, sim_dir, tmp_path):
+        spec_32 = dict(TINY_SPEC, image_side=32)
+        out = tmp_path / "o"
+        assert main(["train", "--config",
+                     self.train_cfg(tmp_path, spec=spec_32),
+                     "--data", str(sim_dir), "--out", str(out)]) == 4
+        assert not out.exists()
+        # a resumed run trains with its checkpoint's spec, not the config's
+        run = tmp_path / "run"
+        assert main(["train", "--config", self.train_cfg(tmp_path),
+                     "--data", str(sim_dir), "--out", str(run)]) == 0
+        assert main(["train", "--config",
+                     self.train_cfg(tmp_path, spec=spec_32),
+                     "--checkpoint", str(run / "checkpoint.ckpt"),
+                     "--data", str(sim_dir), "--out", str(out)]) == 0
 
 
 class TestEval:
@@ -436,6 +455,9 @@ class TestEval:
         report = json.loads((ev / "metrics.json").read_text())
         assert report["mean_ssim_full"] == 1.0
         assert report["mean_rms"] == 0.0
+        assert report["params"] == {"window_size": 11, "sigma": 1.5,
+                                    "k1": 0.01, "k2": 0.03,
+                                    "dynamic_range": "truth peak-to-peak"}
 
     def test_profile_csv(self, tmp_path):
         data, pred = self.make_perfect_pair(tmp_path, width=256)

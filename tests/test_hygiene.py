@@ -1,4 +1,5 @@
-"""Source hygiene: every module of the package uses each name it imports.
+"""Source hygiene: every module of the package uses each name it imports,
+and every name the benchmark's tracer patches still exists.
 
 Package ``__init__`` files are left out: they import names to re-export
 them.
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "psimlab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "psimlab"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -45,3 +47,12 @@ def test_package_modules_are_found():
                          ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_benchmark_tracer_installs(monkeypatch):
+    """Installing fails with AttributeError if a patched name is gone."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+
+    with tracer.Tracer().installed():
+        pass
