@@ -248,10 +248,6 @@ def cmd_train(args):
     dataset = _load_dataset(args.data)
     train_set, _ = split_dataset(dataset, train_fraction=train_fraction,
                                  seed=split_seed, train_count=train_count)
-    pairs, norm_info = build_pairs(train_set, spec.mode)
-    if cfg.get("augment", False):
-        pairs = rotations_12(pairs)
-
     if args.checkpoint:
         try:
             state = load_gan(args.checkpoint)
@@ -259,8 +255,17 @@ def cmd_train(args):
             raise CliError(EXIT_INTEGRITY, str(exc))
         if state.spec.mode != spec.mode:
             raise CliError(EXIT_MODE, "checkpoint mode differs from config")
+        # normalized by the checkpoint's ranges only, which infer reads too
+        try:
+            pairs, _ = build_pairs(train_set, spec.mode, state.norm_info)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(EXIT_INTEGRITY, f"{args.checkpoint}: no usable "
+                           f"normalization ranges to resume with: {exc!r}")
     else:
+        pairs, norm_info = build_pairs(train_set, spec.mode)
         state = init_gan(spec, seed=seed, norm_info=norm_info)
+    if cfg.get("augment", False):
+        pairs = rotations_12(pairs)
     side = state.spec.image_side
     if any(stack.shape != (side, side) for stack, _ in train_set):
         raise CliError(EXIT_DATA, f"training data is not {side}x{side}, "

@@ -54,7 +54,7 @@ def dataset_phase_range(dataset, margin=0.05):
     return float(lo - pad), float(hi + pad)
 
 
-def build_pairs(dataset, mode):
+def build_pairs(dataset, mode, ranges=None):
     """Turn (stack, truth) samples into normalized training pairs.
 
     mode ``frames``: four pairs per stack, frame k -> frame k+1 (one shared
@@ -62,16 +62,20 @@ def build_pairs(dataset, mode):
     stack, frame 1 -> ground-truth phase, target normalized by a
     dataset-wide fixed phase range.  Intensities always use the dataset-wide
     range so inference from a single frame normalizes consistently.
+    ``ranges``, a ``norm_info`` such as a checkpoint records, supplies the
+    ranges to use instead, and must hold each of them (KeyError, or
+    TypeError if it is not a mapping).
 
-    Returns (pairs, norm_info) where norm_info records the dataset-wide
-    intensity range and, for mode phase, the phase range used.
+    Returns (pairs, norm_info) where norm_info records the intensity range
+    and, for mode phase, the phase range used.
     """
     if not dataset:
         raise ValueError("empty dataset")
     if mode not in ("frames", "phase"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    intensity_range = dataset_intensity_range(dataset)
+    intensity_range = (dataset_intensity_range(dataset) if ranges is None
+                       else ranges["intensity_range"])
     norm_info = {"mode": mode, "intensity_range": intensity_range}
     pairs = []
 
@@ -84,7 +88,8 @@ def build_pairs(dataset, mode):
                     normalize(stack.frames[k + 1].data, lo, hi)))
         return pairs, norm_info
 
-    norm_info["phase_range"] = dataset_phase_range(dataset)
+    norm_info["phase_range"] = (dataset_phase_range(dataset) if ranges is None
+                                else ranges["phase_range"])
     plo, phi = norm_info["phase_range"]
     for stack, truth in dataset:
         pairs.append(PairedSample(

@@ -89,7 +89,7 @@ class UNetGenerator(Sequential):
                 u = np.concatenate([u, acts[k]], axis=1)
         return self.head.forward(u)
 
-    def backward(self, grad_y):
+    def backward(self, grad_y, inputs=True):
         g = self.head.backward(grad_y)
         skip_grads = {}
         for k in range(self.depth):
@@ -99,7 +99,9 @@ class UNetGenerator(Sequential):
                 g = g[:, :split]
             g = self.ups[k].backward(g)
         for k in range(self.depth - 1, -1, -1):
-            g = self.downs[k].backward(g)
+            g = self.downs[k].backward(g, inputs=inputs or k > 0)
+            if g is None:  # the input's own gradient, not asked for
+                return None
             if self.skips:
                 g = g + skip_grads[k]
         return g
@@ -133,8 +135,11 @@ class PatchDiscriminator(Sequential):
         x = np.concatenate([condition, candidate], axis=1)
         return self.net.forward(x)
 
-    def backward(self, grad_logits):
-        """Returns (grad wrt condition, grad wrt candidate)."""
-        g = self.net.backward(grad_logits)
+    def backward(self, grad_logits, params=True, inputs=True):
+        """Returns (grad wrt condition, grad wrt candidate), or None when
+        ``inputs`` is False."""
+        g = self.net.backward(grad_logits, params, inputs)
+        if g is None:
+            return None
         half = g.shape[1] // 2
         return g[:, :half], g[:, half:]

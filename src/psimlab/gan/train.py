@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,10 @@ from ..nn.ops import NumericError, sigmoid_forward
 from ..simulate import DEFAULT_SHIFTS, ForwardModelSpec, InterferogramStack
 from .data import denormalize, normalize
 from .models import PatchDiscriminator, UNetGenerator
+
+
+def _is_number(value, kind):
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -31,6 +36,15 @@ class GanSpec:
     beta2: float = 0.999
 
     def __post_init__(self):
+        for name in ("depth", "base", "disc_blocks", "disc_base",
+                     "image_side"):
+            if not _is_number(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("lambda_l1", "lr", "beta1", "beta2"):
+            if not _is_number(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a number")
+        if not isinstance(self.skips, bool):
+            raise ValueError("skips must be true or false")
         if self.mode not in ("frames", "phase"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.depth < 1:
@@ -112,29 +126,30 @@ def train_step(state: GanState, batch) -> GanState:
     gen, disc = state.generator, state.discriminator
 
     # discriminator step, generator frozen; each pair is backpropagated
-    # before the next forward replaces the discriminator's layer caches
+    # before the next forward replaces the discriminator's layer caches,
+    # and no gradient in the pair itself is formed
     fake = gen.forward(x)
     disc.zero_grad()
     l_d = 0.0
     for candidate, real in ((target, True), (fake, False)):
         loss, grad = discriminator_loss(disc.forward(x, candidate), real)
-        disc.backward(grad)
+        disc.backward(grad, inputs=False)
         l_d += loss
     if not np.isfinite(l_d):
         raise NumericError(f"discriminator loss is not finite at step {state.step}")
     adam_step(disc.parameters(), disc.gradients(), state.d_opt)
 
-    # generator step, discriminator frozen; only the discriminator changed
-    # since ``fake`` was computed, so the generator's caches still hold
+    # generator step, discriminator frozen: its backward forms input
+    # gradients only.  Only the discriminator changed since ``fake`` was
+    # computed, so the generator's caches still hold; the gradient in x
+    # is never read
     gen.zero_grad()
-    disc.zero_grad()
     l_g_adv, l1, grad_logits, grad_l1 = generator_loss(
         disc.forward(x, fake), fake, target, state.spec.lambda_l1)
-    _, grad_fake_img = disc.backward(grad_logits)
+    _, grad_fake_img = disc.backward(grad_logits, params=False)
     if not np.isfinite(l_g_adv) or not np.isfinite(l1):
         raise NumericError(f"generator loss is not finite at step {state.step}")
-    gen.backward(grad_fake_img + grad_l1)
-    disc.zero_grad()  # frozen: discard grads from the generator pass
+    gen.backward(grad_fake_img + grad_l1, inputs=False)
     adam_step(gen.parameters(), gen.gradients(), state.g_opt)
 
     state.step += 1

@@ -81,9 +81,8 @@ def save_phase(path, phase: PhaseMap, **meta):
 
 
 def load_phase(path) -> PhaseMap:
-    meta = read_sidecar(path)
-    return PhaseMap(read_pfm(path), wrapped=bool(meta.get("wrapped", False)),
-                    meta=meta)
+    wrapped = bool(read_sidecar(path).get("wrapped", False))
+    return PhaseMap(read_pfm(path), wrapped=wrapped)
 
 
 def write_profile_csv(path, profile: Profile):

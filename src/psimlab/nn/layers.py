@@ -34,7 +34,12 @@ class Layer:
     def forward(self, x):
         raise NotImplementedError
 
-    def backward(self, grad_y):
+    def backward(self, grad_y, params=True, inputs=True):
+        """The gradient in the input, after adding the parameter gradients
+        to ``gradients()``.  ``params=False`` leaves those alone and
+        ``inputs=False`` lets a layer skip the input gradient and return
+        None; a layer without parameters ignores both, and a transposed
+        conv refuses either."""
         raise NotImplementedError
 
 
@@ -69,12 +74,22 @@ class _Conv(Layer):
         y = op(x, self.w, self.b, self.stride, self.padding)
         return check_finite(y, self.name)
 
-    def backward(self, grad_y):
-        op = (ops.conv_transpose2d_backward if self.transposed
-              else ops.conv2d_backward)
-        gx, gw, gb = op(self.x, self.w, grad_y, self.stride, self.padding)
-        self.gw += gw
-        self.gb += gb
+    def backward(self, grad_y, params=True, inputs=True):
+        # the public backward ops return all three gradients; a partial
+        # backward of a plain conv asks conv_grads for the ones it needs
+        if params and inputs:
+            op = (ops.conv_transpose2d_backward if self.transposed
+                  else ops.conv2d_backward)
+            gx, gw, gb = op(self.x, self.w, grad_y, self.stride,
+                            self.padding)
+        elif self.transposed:
+            raise ValueError(f"{self.name} has only the full backward")
+        else:
+            gx, gw, gb = ops.conv_grads(self.x, self.w, grad_y, self.stride,
+                                        self.padding, params, inputs)
+        if params:
+            self.gw += gw
+            self.gb += gb
         return gx
 
 
@@ -104,10 +119,11 @@ class InstanceNorm(Layer):
                                                   self.eps)
         return check_finite(y, self.name)
 
-    def backward(self, grad_y):
+    def backward(self, grad_y, params=True, inputs=True):
         gx, ggamma, gbeta = ops.instance_norm_backward(grad_y, self.cache)
-        self.ggamma += ggamma
-        self.gbeta += gbeta
+        if params:
+            self.ggamma += ggamma
+            self.gbeta += gbeta
         return gx
 
 
@@ -121,7 +137,7 @@ class LeakyReLU(Layer):
         self.x = x
         return ops.leaky_relu_forward(x, self.alpha)
 
-    def backward(self, grad_y):
+    def backward(self, grad_y, params=True, inputs=True):
         return ops.leaky_relu_backward(self.x, grad_y, self.alpha)
 
 
@@ -132,7 +148,7 @@ class ReLU(Layer):
         self.x = x
         return ops.relu_forward(x)
 
-    def backward(self, grad_y):
+    def backward(self, grad_y, params=True, inputs=True):
         return ops.relu_backward(self.x, grad_y)
 
 
@@ -143,7 +159,7 @@ class Tanh(Layer):
         self.y = ops.tanh_forward(x)
         return self.y
 
-    def backward(self, grad_y):
+    def backward(self, grad_y, params=True, inputs=True):
         return ops.tanh_backward(self.y, grad_y)
 
 
@@ -154,7 +170,7 @@ class Sigmoid(Layer):
         self.y = ops.sigmoid_forward(x)
         return check_finite(self.y, self.name)
 
-    def backward(self, grad_y):
+    def backward(self, grad_y, params=True, inputs=True):
         return ops.sigmoid_backward(self.y, grad_y)
 
 
@@ -175,7 +191,8 @@ class Sequential(Layer):
             x = layer.forward(x)
         return x
 
-    def backward(self, grad_y):
-        for layer in reversed(self.layers):
-            grad_y = layer.backward(grad_y)
+    def backward(self, grad_y, params=True, inputs=True):
+        # only the first layer's input gradient is the block's own
+        for k in range(len(self.layers) - 1, -1, -1):
+            grad_y = self.layers[k].backward(grad_y, params, inputs or k > 0)
         return grad_y

@@ -15,16 +15,24 @@ bounded.  The gather copies the ``sliding_window_view`` windows of its
 input into columns (im2col; Chellapilla, Puri & Simard, 2006) and
 multiplies each sample's columns by the kernel; the weight gradient is one
 GEMM per sample against the same columns, ``g_i @ cols_i.T``; the scatter
-multiplies by the kernel first and adds each tap's slice into its strided
-window.  The backward of transposed conv needs the gather of the padded
-``grad_y`` and its weight gradient against ``x``, so one set of columns
-per chunk feeds both products.  At stride 1 a gather with kernel ``w`` is
-the scatter with the flipped, transposed kernel ``_flip_t(w)`` onto the
-full output, cropped by k - 1, and the reverse also holds.  So a thin
-layer (stride 1, fewer output than input channels, such as the generator
-head), where an im2col would copy c*k^2 values per pixel to produce o of
-them, runs each primitive as its twin, which is not thin and keeps
-temporaries at o*k^2 values per pixel.
+multiplies by the kernel first and then sums the taps per output parity
+(Dumoulin & Visin, 2016): the taps u = a, v = b (mod stride) land only on
+the outputs of parity (a, b), and on a plane of ceil(hw / stride) per
+channel, with ``g`` zero-padded to it, each is one contiguous slice shifted
+by (u // stride) * width + v // stride.  Each plane is written once into
+its strided view of the output; every output gets the same additions in
+the same order as per-tap adds into strided windows, at a fraction of
+their cost.  The backward of transposed conv needs the gather of the
+padded ``grad_y`` and its weight gradient against ``x``, so one set of
+columns per chunk feeds both products.  At stride 1 a gather with kernel
+``w`` is the scatter with the flipped, transposed kernel ``_flip_t(w)``
+onto the full output, cropped by k - 1, and the reverse also holds.  So a
+thin layer (stride 1, fewer output than input channels, such as the
+generator head), where an im2col would copy c*k^2 values per pixel to
+produce o of them, runs each primitive as its twin, which is not thin and
+keeps temporaries at o*k^2 values per pixel.  ``conv_grads`` forms only
+the gradients a caller asks for, such as the input gradients alone of a
+frozen network.
 
 Padding, LeakyReLU and the instance-norm forward make fewer full-array
 passes and temporaries than their textbook formulas, with bitwise the same
@@ -45,13 +53,6 @@ def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite values produced by {context}")
     return arr
-
-
-def _taps(kernel, hw, stride):
-    """(u, v, window): where tap (u, v) lands as the kernel visits ``hw``."""
-    for u, v in np.ndindex(*kernel):
-        yield u, v, (..., slice(u, u + (hw[0] - 1) * stride + 1, stride),
-                     slice(v, v + (hw[1] - 1) * stride + 1, stride))
 
 
 # Values per chunk temporary (im2col columns, scatter taps): each GEMM
@@ -108,8 +109,10 @@ def _correlate(src, w, out_hw, stride):
     """Gather: ``out[n,o] = sum_{c,u,v} src[n,c,win(u,v)] w[o,c,u,v]``."""
     o, c, kh, kw = w.shape
     if _thin(o, c, stride):
-        full_hw = [s + k - 1 for s, k in zip(src.shape[2:], (kh, kw))]
-        full = _correlate_adjoint(src, _flip_t(w), full_hw, 1)
+        # the scatter of _flip_t(w) onto the full output, cropped by k - 1;
+        # laid out on src's own grid, only the cropped border reads a tap
+        # across a row end, so src needs no zero frame
+        full = _correlate_adjoint(src, _flip_t(w), src.shape[2:], 1)
         return full[..., kh - 1:kh - 1 + out_hw[0], kw - 1:kw - 1 + out_hw[1]]
     out = np.empty((len(src), o, *out_hw))
     out_flat = out.reshape(len(src), o, -1)
@@ -119,20 +122,60 @@ def _correlate(src, w, out_hw, stride):
     return out
 
 
+def _parity_sum(t, parity, stride, wp, dst):
+    """``dst`` (len, size): the sum, in row-major (u, v) order, of the taps
+    ``t[:, u, v]`` of one output parity, each shifted by (u // stride) * wp
+    + v // stride and added to 0.0 as the strided adds into a zeroed output
+    do.  A parity no tap reaches (kernel smaller than stride) is 0.0."""
+    a, b = parity
+    taps = [(u, v) for u in range(a, t.shape[1], stride)
+            for v in range(b, t.shape[2], stride)]
+    if not taps:
+        dst[...] = 0.0
+        return
+    np.add(t[:, a, b], 0.0, out=dst)  # the first tap's shift is 0
+    size = dst.shape[1]
+    for u, v in taps[1:]:
+        d = u // stride * wp + v // stride
+        dst[:, d:] += t[:, u, v, :size - d]
+
+
 def _correlate_adjoint(g, w, src_hw, stride):
-    """Scatter: adjoint of ``_correlate`` in ``src``, onto ``src_hw``."""
+    """Scatter: adjoint of ``_correlate`` in ``src``, onto ``src_hw``.
+
+    Onto a ``src_hw`` that only fits the taps' common window (the thin
+    gather's, at stride 1) the outputs within k - 1 of its top or left edge
+    are not the scatter's: there a tap's read wraps across a row end."""
     o, c, kh, kw = w.shape
     if _thin(o, c, stride):
         return _correlate(_pad(g, kh - 1, kw - 1), _flip_t(w), src_hw, 1)
-    out = np.zeros((len(g), c, *src_hw))
+    s = stride
+    hp, wp = (-(-n // s) for n in src_hw)
+    if g.shape[2:] != (hp, wp):  # zero rows and columns for wrapped reads
+        gp = np.zeros((*g.shape[:2], hp, wp))
+        gp[..., :g.shape[2], :g.shape[3]] = g
+        g = gp
+    out = np.empty((len(g), c, *src_hw))
+    size = c * hp * wp
     w_taps = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
     g_flat = g.reshape(len(g), o, -1)
-    for s in _chunks(len(g), w_taps.shape[0] * g_flat.shape[2]):
-        dst = out[s]
-        t = (w_taps @ g_flat[s]).reshape(len(dst), kh, kw, c, *g.shape[2:])
-        for u, v, win in _taps((kh, kw), g.shape[2:], stride):
-            dst[win] += t[:, u, v]
-        del t  # freed before the next chunk's is built
+    # one buffer, sized by the first and largest chunk, serves them all
+    chunks = list(_chunks(len(g), kh * kw * size))
+    taps = np.empty((len(out[chunks[0]]), kh * kw * c, hp * wp))
+    planes = np.empty((len(taps), size)) if s > 1 else None
+    for sl in chunks:
+        m = len(out[sl])
+        t = np.matmul(w_taps, g_flat[sl], out=taps[:m])
+        t = t.reshape(m, kh, kw, size)
+        if s == 1:  # one parity, whose plane is the output itself
+            _parity_sum(t, (0, 0), 1, wp, out[sl].reshape(m, size))
+            continue
+        plane = planes[:m]
+        for a, b in np.ndindex(s, s):
+            _parity_sum(t, (a, b), s, wp, plane)
+            dst = out[sl, :, a::s, b::s]
+            dst[...] = plane.reshape(m, c, hp, wp)[..., :dst.shape[2],
+                                                   :dst.shape[3]]
     return out
 
 
@@ -168,10 +211,7 @@ def conv2d_forward(x, w, b, stride=1, padding=0):
 
 
 def conv2d_backward(x, w, grad_y, stride=1, padding=0):
-    xp = _pad(x, padding, padding)
-    grad_xp = _correlate_adjoint(grad_y, w, xp.shape[2:], stride)
-    grad_w = _correlate_weight_grad(xp, grad_y, w.shape[2:], stride)
-    return _crop(grad_xp, padding), grad_w, grad_y.sum(axis=(0, 2, 3))
+    return conv_grads(x, w, grad_y, stride, padding)
 
 
 def conv_transpose2d_forward(x, w, b, stride=1, padding=0):
@@ -204,6 +244,21 @@ def conv_transpose2d_backward(x, w, grad_y, stride=1, padding=0):
         for x_i, cols_i in zip(x_flat[s], cols):
             grad_w += x_i @ cols_i.T
     return grad_x, grad_w.reshape(w.shape), grad_y.sum(axis=(0, 2, 3))
+
+
+def conv_grads(x, w, grad_y, stride=1, padding=0, params=True, inputs=True):
+    """``(grad_x, grad_w, grad_b)`` of ``conv2d``, with None in place of
+    ``grad_x`` unless ``inputs`` and of the other two unless ``params``.
+    ``conv2d_backward`` is its full case."""
+    grad_x = grad_w = grad_b = None
+    if inputs:
+        xp_hw = [s + 2 * padding for s in x.shape[2:]]
+        grad_x = _crop(_correlate_adjoint(grad_y, w, xp_hw, stride), padding)
+    if params:
+        grad_w = _correlate_weight_grad(_pad(x, padding, padding), grad_y,
+                                        w.shape[2:], stride)
+        grad_b = grad_y.sum(axis=(0, 2, 3))
+    return grad_x, grad_w, grad_b
 
 
 def leaky_relu_forward(x, alpha=0.2):

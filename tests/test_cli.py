@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psimlab import PhaseMap, io
-from psimlab.cli import build_parser, main
+from psimlab.cli import _load_dataset, build_parser, main
+from psimlab.gan import build_pairs, load_gan, split_dataset, train
 from psimlab.metrics import (SsimParams, align_global_offset, foreground_mask,
                              masked_mean_ssim, rms_error, ssim)
 from psimlab.nn.checkpoint import load_checkpoint, save_checkpoint
@@ -229,6 +230,34 @@ class TestTrainInfer:
         assert (resumed / "checkpoint.ckpt").read_bytes() == \
             (straight / "checkpoint.ckpt").read_bytes()
 
+    def test_resume_normalizes_with_the_checkpoint_ranges(self, sim_dir,
+                                                           tmp_path):
+        cfg = self.train_cfg(tmp_path)
+        first, resumed = tmp_path / "first", tmp_path / "resumed"
+        main(["train", "--config", cfg, "--data", str(sim_dir),
+              "--out", str(first), "--steps", "2"])
+        noisy = simulate(tmp_path / "noisy", tmp_path,
+                         model={"noise_sigma": 0.5})
+        ckpt = first / "checkpoint.ckpt"
+        assert main(["train", "--config", cfg, "--data", str(noisy),
+                     "--out", str(resumed), "--steps", "2",
+                     "--checkpoint", str(ckpt)]) == 0
+
+        state = load_gan(ckpt)
+        train_set, _ = split_dataset(_load_dataset(noisy))
+        _, own = build_pairs(train_set, "phase")
+        assert own["intensity_range"] != tuple(
+            state.norm_info["intensity_range"])
+        pairs, _ = build_pairs(train_set, "phase", state.norm_info)
+        train(state, pairs, 2)
+        back = load_gan(resumed / "checkpoint.ckpt")
+        assert back.norm_info == state.norm_info
+        for (name, a), (_, b) in zip(
+                state.generator.parameters() +
+                state.discriminator.parameters(),
+                back.generator.parameters() + back.discriminator.parameters()):
+            assert a.tobytes() == b.tobytes(), name
+
     def test_resumed_loss_log_is_numbered_by_global_step(self, sim_dir,
                                                          tmp_path):
         cfg = self.train_cfg(tmp_path)
@@ -369,6 +398,32 @@ class TestTrainInfer:
         ckpt = self.resaved_checkpoint(sim_dir, tmp_path, drop_norm_info)
         assert self.run_with_checkpoint(command, ckpt, sim_dir, tmp_path) == 6
 
+    @pytest.mark.parametrize("edit", [
+        lambda norm: {k: v for k, v in norm.items() if k != "phase_range"},
+        lambda norm: {k: v for k, v in norm.items()
+                      if k != "intensity_range"},
+        lambda norm: [norm["intensity_range"], norm["phase_range"]],
+    ], ids=["no_phase_range", "no_intensity_range", "list"])
+    def test_resume_without_checkpoint_ranges_exits_6(self, edit, sim_dir,
+                                                      tmp_path):
+        # a resumed run normalizes by the checkpoint's ranges alone
+        def resave(entries, meta):
+            meta["norm_info"] = edit(meta["norm_info"])
+            return entries
+
+        ckpt = self.resaved_checkpoint(sim_dir, tmp_path, resave)
+        assert self.run_with_checkpoint("train", ckpt, sim_dir, tmp_path) == 6
+
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_checkpoint_spec_of_wrong_type_exits_6(self, command, sim_dir,
+                                                   tmp_path):
+        def skips_as_string(entries, meta):
+            meta["spec"]["skips"] = "no"
+            return entries
+
+        ckpt = self.resaved_checkpoint(sim_dir, tmp_path, skips_as_string)
+        assert self.run_with_checkpoint(command, ckpt, sim_dir, tmp_path) == 6
+
     @pytest.mark.parametrize("command", ["infer", "train"])
     @pytest.mark.parametrize("edit", [
         lambda entries, meta: entries[:3],
@@ -403,9 +458,13 @@ class TestTrainInfer:
         {"spec": []},
         {"spec": TINY_SPEC, "steps": -3},
         {"spec": TINY_SPEC, "batch_size": 0},
+        {"spec": dict(TINY_SPEC, lr="x")},
+        {"spec": dict(TINY_SPEC, beta1="0.5")},
+        {"spec": dict(TINY_SPEC, skips="no")},
     ], ids=["config_list", "steps", "seed", "batch_size", "split_seed",
             "train_count", "train_fraction", "spec_list", "negative_steps",
-            "zero_batch_size"])
+            "zero_batch_size", "spec_lr_string", "spec_beta1_string",
+            "spec_skips_string"])
     def test_bad_config_field_exits_2(self, sim_dir, tmp_path, cfg):
         config = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "o"

@@ -6,8 +6,11 @@ them.
 """
 
 import ast
+import importlib
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,3 +59,34 @@ def test_benchmark_tracer_installs(monkeypatch):
 
     with tracer.Tracer().installed():
         pass
+
+
+def test_traced_step_records_finite_conv_flops(monkeypatch):
+    """A train step and an inference run under the tracer, and each of the
+    four traced conv ops records at least one span, every one with a
+    finite, positive FLOP count, so a conv op whose results the tracer's
+    counters cannot read fails here.  A partial conv backward runs
+    ``ops.conv_grads``, which the tracer does not wrap, so its work is in
+    no count."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+
+    from psimlab.gan import GanSpec, init_gan
+    from psimlab.gan.data import PairedSample
+
+    # the module, which the package's ``train`` function shadows
+    gan_train = importlib.import_module("psimlab.gan.train")
+
+    rng = np.random.default_rng(0)
+    batch = [PairedSample(rng.uniform(-1, 1, (16, 16)),
+                          rng.uniform(-1, 1, (16, 16))) for _ in range(2)]
+    state = init_gan(GanSpec(depth=2, base=4, disc_blocks=2, disc_base=4,
+                             image_side=16))
+    with tracer.Tracer().installed() as traced:
+        gan_train.train_step(state, batch)
+        gan_train.generator_apply(state, batch[0].input)
+    for op in ("conv2d_forward", "conv2d_backward",
+               "conv_transpose2d_forward", "conv_transpose2d_backward"):
+        flops = [span.counts["conv_flop"] for span in traced.spans
+                 if span.name == f"nn.ops.{op}"]
+        assert flops and all(math.isfinite(f) and f > 0 for f in flops), op

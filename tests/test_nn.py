@@ -113,6 +113,55 @@ class TestConvTranspose2d:
         assert y.shape == (1, 1, 10, 10)
 
 
+class TestPartialBackward:
+    """``params=False`` and ``inputs=False`` leave out gradients without
+    changing the ones a conv still forms, bitwise."""
+
+    @staticmethod
+    def backward(layer, x, gy, **flags):
+        layer.zero_grad()
+        layer.forward(x)
+        gx = layer.backward(gy, **flags)
+        return gx, [g.copy() for _, g in layer.gradients()]
+
+    @pytest.mark.parametrize("in_ch,out_ch,k,stride", [(3, 4, 4, 2),
+                                                       (5, 1, 3, 1)],
+                             ids=["stride2", "thin"])
+    def test_conv2d_partial_equals_full(self, in_ch, out_ch, k, stride):
+        rng = np.random.default_rng(11)
+        layer = Conv2d(in_ch, out_ch, k, stride=stride, padding=1, rng=rng)
+        x = rng.normal(size=(2, in_ch, 8, 8))
+        gy = rng.normal(size=layer.forward(x).shape)
+        gx, grads = self.backward(layer, x, gy)
+        gx_only, untouched = self.backward(layer, x, gy, params=False)
+        none, grads_only = self.backward(layer, x, gy, inputs=False)
+        assert gx_only.tobytes() == gx.tobytes()
+        assert all(not g.any() for g in untouched)
+        assert none is None
+        assert [g.tobytes() for g in grads_only] == \
+            [g.tobytes() for g in grads]
+
+    def test_sequential_skips_only_its_input_gradient(self):
+        rng = np.random.default_rng(12)
+        seq = Sequential(Conv2d(3, 4, 3, padding=1, rng=rng), InstanceNorm(4),
+                         LeakyReLU(0.2), Conv2d(4, 2, 3, padding=1, rng=rng))
+        x = rng.normal(size=(2, 3, 6, 6))
+        gy = rng.normal(size=(2, 2, 6, 6))
+        _, grads = self.backward(seq, x, gy)
+        none, grads_only = self.backward(seq, x, gy, inputs=False)
+        assert none is None
+        assert [g.tobytes() for g in grads_only] == \
+            [g.tobytes() for g in grads]
+
+    @pytest.mark.parametrize("flags", [{"params": False}, {"inputs": False}])
+    def test_transposed_conv_has_only_the_full_backward(self, flags):
+        rng = np.random.default_rng(13)
+        layer = ConvTranspose2d(4, 3, 4, stride=2, padding=1, rng=rng)
+        y = layer.forward(rng.normal(size=(1, 4, 3, 3)))
+        with pytest.raises(ValueError):
+            layer.backward(np.ones_like(y), **flags)
+
+
 def inner(a, b):
     """<a, b> and the sum of |a * b|, the scale its rounding error has."""
     return float(np.sum(a * b)), float(np.sum(np.abs(a * b)))
@@ -317,6 +366,98 @@ class TestSinglePassKernels:
         assert xhat_c.tobytes() == xhat.tobytes()
         assert inv_std_c.tobytes() == inv_std.tobytes()
         assert gamma_c is gamma
+
+
+def strided_scatter(g, w, src_hw, stride):
+    """The scatter by its definition: one GEMM for all taps, then each
+    tap's slice added into its strided window of a zeroed output."""
+    o, c, kh, kw = w.shape
+    gh, gw = g.shape[2:]
+    out = np.zeros((len(g), c, *src_hw))
+    w_taps = w.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
+    t = (w_taps @ g.reshape(len(g), o, -1)).reshape(len(g), kh, kw, c, gh,
+                                                    gw)
+    for u, v in np.ndindex(kh, kw):
+        out[..., u:u + (gh - 1) * stride + 1:stride,
+            v:v + (gw - 1) * stride + 1:stride] += t[:, u, v]
+    return out
+
+
+# (in, out, g side, scatter side) of every stride-2 4x4 scatter in the
+# paper's U-Net and PatchGAN: the transposed-conv forwards and the conv
+# input gradients
+NET_SCATTERS = {
+    "up0": (32, 16, 32, 66), "up1": (64, 32, 16, 34), "up2": (128, 64, 8, 18),
+    "up3_down3": (128, 64, 4, 10), "down0": (16, 1, 32, 66),
+    "down1_d1": (32, 16, 16, 34), "down2_d2": (64, 32, 8, 18),
+    "d0": (16, 2, 32, 66),
+}
+
+
+def _past_footprint(n, c, o, k, stride, pad, hw):
+    out_hw = [(s + 2 * pad - k) // stride + 1 for s in hw]
+    return not ops._thin(o, c, stride) and any(
+        (m - 1) * stride + k < s + 2 * pad for m, s in zip(out_hw, hw))
+
+
+class TestScatterOracle:
+    """The parity-plane scatter is bitwise equal to ``strided_scatter``,
+    signed zeros included."""
+
+    @staticmethod
+    def probe(shape, seed=0):
+        g = np.random.default_rng(seed).normal(size=shape)
+        g.flat[:4] = (0.0, -0.0, 5e-324, -5e-324)
+        return g
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("name", list(NET_SCATTERS))
+    def test_net_shapes(self, name, n):
+        o, c, side, full = NET_SCATTERS[name]
+        g = self.probe((n, o, side, side))
+        w = self.probe((o, c, 4, 4), 1)
+        ref = strided_scatter(g, w, (full, full), 2)
+        assert ops._correlate_adjoint(g, w, (full, full), 2).tobytes() == \
+            ref.tobytes()
+
+    @pytest.mark.parametrize("c,side", [(17, 64), (64, 8)],
+                             ids=["g_head", "d_head"])
+    def test_head_twins(self, c, side):
+        # a thin head's forward is the stride-1 scatter of the flipped
+        # kernel, cropped by k - 1
+        src = ops._pad(self.probe((8, c, side, side)), 1, 1)
+        w = self.probe((1, c, 3, 3), 1)
+        ref = strided_scatter(src, ops._flip_t(w), (side + 4, side + 4), 1)
+        y = ops._correlate(src, w, (side, side), 1)
+        assert y.tobytes() == ref[..., 2:2 + side, 2:2 + side].tobytes()
+
+    @pytest.mark.parametrize(
+        "n,c,o,k,stride,pad,hw",
+        [case for case in CORE_CASES if _past_footprint(*case)])
+    def test_past_the_footprint(self, n, c, o, k, stride, pad, hw):
+        # the conv input gradient onto a padded input wider than the
+        # windows reach: the rows and columns no tap touches stay 0.0
+        out_hw = [(s + 2 * pad - k) // stride + 1 for s in hw]
+        g = self.probe((n, o, *out_hw))
+        w = self.probe((o, c, k, k), 1)
+        src_hw = [s + 2 * pad for s in hw]
+        ref = strided_scatter(g, w, src_hw, stride)
+        assert ops._correlate_adjoint(g, w, src_hw, stride).tobytes() == \
+            ref.tobytes()
+
+    @pytest.mark.parametrize("stride,k", [(1, 4), (2, 4), (2, 1)])
+    def test_partial_chunk(self, monkeypatch, stride, k):
+        # a budget of two samples runs a batch of 5 as 2 + 2 + 1; a 1x1
+        # kernel at stride 2 leaves three parities without a tap
+        o, c, side = 8, 4, 6
+        full = (side - 1) * stride + k
+        plane = -(-full // stride)
+        monkeypatch.setattr(ops, "BUDGET", 2 * k * k * c * plane * plane)
+        g = self.probe((5, o, side, side))
+        w = self.probe((o, c, k, k), 1)
+        ref = strided_scatter(g, w, (full, full), stride)
+        assert ops._correlate_adjoint(g, w, (full, full), stride).tobytes() \
+            == ref.tobytes()
 
 
 def _layers_under_test():
