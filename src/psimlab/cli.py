@@ -167,12 +167,15 @@ def cmd_simulate(args):
         raise CliError(EXIT_CONFIG, f"bad simulate config field: {exc}")
     model = _model_from_config(cfg.get("model", {}))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     timings = {}
     with _timed(timings, "simulate"):
-        dataset = synth_dataset(count, width, height, family, model, seed)
+        try:
+            dataset = synth_dataset(count, width, height, family, model, seed)
+        except ValueError as exc:
+            raise CliError(EXIT_CONFIG, f"bad simulate config: {exc}")
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     outputs = []
     for idx, (stack, truth) in enumerate(dataset):
         d = out / f"sample_{idx:05d}"
@@ -208,7 +211,8 @@ def cmd_reconstruct(args):
         with _timed(timings, "io"):
             dest.mkdir(exist_ok=True)
             io.save_phase(dest / "phase_wrapped.pfm", wrapped)
-            io.save_phase(dest / "phase_unwrapped.pfm", unwrapped)
+            io.save_phase(dest / "phase_unwrapped.pfm", unwrapped,
+                          **unwrapped.meta)
             io.write_pfm(dest / "quality.pfm", quality.data)
             io.write_sidecar(dest / "quality.pfm", role="quality",
                              units="intensity")

@@ -11,6 +11,9 @@ import numpy as np
 from .image import Image, PhaseMap
 from .simulate import InterferogramStack
 
+# unwrap_phase converts its steps to Python floats this many at a time
+_SLICE = 1 << 16
+
 
 class QualityMap(Image):
     """Per-pixel fringe modulation amplitude, used as unwrapping quality."""
@@ -61,88 +64,133 @@ def unwrap_phase(wrapped: PhaseMap, quality: QualityMap) -> PhaseMap:
     left, right on ties) plus the wrapped difference.  The seed keeps its
     wrapped value, so output - input is a multiple of 2 pi everywhere.
 
-    Every pixel is ranked once by (-quality, row-major index), so the
-    frontier heap holds plain int ranks and each pixel is pushed once.  The
-    loop runs over Python lists on a grid padded with a one-pixel blocked
-    border, so neighbor offsets need no bounds tests.
+    Every pixel is ranked once by (-quality, row-major index), on a grid
+    padded with a one-pixel blocked border.  The fill runs in three passes
+    with the same result, bit for bit, as one loop that does it all:
+
+    1. A heap loop over ranks finds the pop order only.
+    2. numpy gives each pixel its reference, the neighbor popped before it
+       that the one loop would have chosen, and its wrapped step, by the
+       same IEEE operations.
+    3. One loop adds the steps in pop order, in which every reference comes
+       before the pixels that use it.
+
+    ``meta`` holds the seed as ``seed_pixel`` and whether every quality
+    was zero as ``quality_all_zero``.
     """
     if not wrapped.wrapped:
         raise ValueError("input phase must be wrapped")
     if wrapped.shape != quality.shape:
         raise ValueError("quality map dimensions must match the phase map")
     q = quality.data
-    w = wrapped.data
-    rows, cols = w.shape
+    rows, cols = q.shape
 
-    if np.all(q == 0.0):
+    all_zero = not q.any()
+    if all_zero:
         # every rank ties, so the fill runs row-major from (0, 0)
         warnings.warn("all-zero quality map; unwrapping in raster order",
                       stacklevel=2)
 
-    # rank 0 is the argmax, ties broken row-major: the stable sort keeps the
-    # row-major order among equal qualities
-    order = np.argsort(-q.ravel(), kind="stable")
-    sr, sc = divmod(int(order[0]), cols)
-
     # padded grid: pixel (r, c) sits in cell (r + 1) * stride + c + 1
     stride = cols + 2
-    size = (rows + 2) * stride
-    r, c = np.divmod(order, cols)
+    popped = np.array(_pop_order(q, stride))
+    sr, sc = divmod(int(popped[0]) - stride - 1, stride)
+    t_ref = _references(popped, q, stride)
+
+    # d - 2 pi * np.round(d / 2 pi) without the call: d lies in
+    # (-2 pi, 2 pi), so the multiple is -1, 0 or 1, and 0 at exactly
+    # +-0.5 (half to even)
+    phase = np.pad(wrapped.data, 1).ravel()
+    two_pi = 2.0 * math.pi
+    d = phase[popped] - phase[popped[t_ref]]
+    x = d / two_pi
+    d[x > 0.5] -= two_pi
+    d[x < -0.5] += two_pi
+
+    # pass 3, in slices so that only one slice is Python objects at a time
+    vals = [float(phase[popped[0]])]
+    del phase, x
+    grow = vals.append
+    for lo in range(1, popped.size, _SLICE):
+        hi = lo + _SLICE
+        for k, step in zip(t_ref[lo:hi].tolist(), d[lo:hi].tolist()):
+            grow(vals[k] + step)
+    out = np.empty((rows + 2) * stride)
+    out[popped] = vals
+    out = out.reshape(rows + 2, stride)[1:-1, 1:-1]
+    return PhaseMap(out, wrapped=False,
+                    meta={"seed_pixel": (sr, sc), "quality_all_zero": all_zero})
+
+
+def _pop_order(q, stride):
+    """Pass 1 of ``unwrap_phase``: the list of padded cells in the order the
+    fill solves them, the seed first.  Only the lowest rank is popped, so the
+    heap loop does nothing else but queue free neighbors."""
+    rows, cols = q.shape
+    # rank 0 is the argmax, ties broken row-major: the stable sort keeps the
+    # row-major order among equal qualities
+    r, c = np.divmod(np.argsort(-q.ravel(), kind="stable"), cols)
     cell = (r + 1) * stride + c + 1  # rank -> cell
-    rank = np.zeros(size, dtype=np.int64)
+    del r, c
+    rank = np.zeros((rows + 2) * stride, dtype=np.int64)
     rank[cell] = np.arange(cell.size)
+    seed = int(cell[0])
     cell = cell.tolist()
     rank = rank.tolist()
-    qual = np.pad(q, 1).ravel().tolist()
-    phase = np.pad(w, 1).ravel().tolist()
-    # state per cell: 0 free, 1 queued, 2 solved, 3 border
-    state = bytearray(np.pad(np.zeros(q.shape, np.uint8), 1,
-                             constant_values=3).tobytes())
-    out = [0.0] * size
-
+    # free[n] is 1 until n is queued; border cells and the seed start at 0
+    free = bytearray(np.pad(np.ones(q.shape, np.uint8), 1).tobytes())
+    free[seed] = 0
+    popped = [seed]
+    frontier = []
     heappush = heapq.heappush
     heappop = heapq.heappop
-    offsets = (-stride, stride, -1, 1)  # up, down, left, right
-    seed = cell[0]
-    out[seed] = phase[seed]
-    state[seed] = 2
-    frontier = []
-    for o in offsets:
-        if state[seed + o] == 0:
-            state[seed + o] = 1
-            heappush(frontier, rank[seed + o])
-
-    two_pi = 2.0 * math.pi
+    record = popped.append
+    for n in (seed - stride, seed + stride, seed - 1, seed + 1):
+        if free[n]:
+            free[n] = 0
+            heappush(frontier, rank[n])
     while frontier:
         p = cell[heappop(frontier)]
-        # the first solved neighbor wins unless a later one has higher
-        # quality; free neighbors join the frontier
-        best = -1.0
-        ref = -1
-        for o in offsets:
-            n = p + o
-            s = state[n]
-            if s == 2:
-                if qual[n] > best:
-                    best = qual[n]
-                    ref = n
-            elif s == 0:
-                state[n] = 1
-                heappush(frontier, rank[n])
-        # d - 2 pi * np.round(d / 2 pi) without the call: d lies in
-        # (-2 pi, 2 pi), so the multiple is -1, 0 or 1, and 0 at exactly
-        # +-0.5 (half to even)
-        d = phase[p] - phase[ref]
-        x = d / two_pi
-        if x > 0.5:
-            d -= two_pi
-        elif x < -0.5:
-            d += two_pi
-        out[p] = out[ref] + d
-        state[p] = 2
+        record(p)
+        n = p - stride
+        if free[n]:
+            free[n] = 0
+            heappush(frontier, rank[n])
+        n = p + stride
+        if free[n]:
+            free[n] = 0
+            heappush(frontier, rank[n])
+        n = p - 1
+        if free[n]:
+            free[n] = 0
+            heappush(frontier, rank[n])
+        n = p + 1
+        if free[n]:
+            free[n] = 0
+            heappush(frontier, rank[n])
+    return popped
 
-    out = np.array(out).reshape(rows + 2, stride)[1:-1, 1:-1]
-    return PhaseMap(out, wrapped=False, meta={"seed_pixel": (sr, sc)})
+
+def _references(popped, q, stride):
+    """Pass 2 of ``unwrap_phase``: for the pixel popped k-th, the pop time of
+    its reference.  As the one loop did, scan up, down, left, right, and
+    let a neighbor popped earlier replace the reference only on strictly
+    higher quality.  The seed's entry is 0 and unused."""
+    npix = popped.size
+    now = np.arange(npix)
+    t = np.full((q.shape[0] + 2) * stride, npix)  # border cells never pop
+    t[popped] = now
+    qual = np.pad(q, 1).ravel()
+    best = np.full(npix, -1.0)
+    t_ref = np.zeros(npix, dtype=np.int64)
+    for o in (-stride, stride, -1, 1):
+        nb = popped + o
+        tn = t[nb]
+        qn = qual[nb]
+        take = (tn < now) & (qn > best)
+        best[take] = qn[take]
+        t_ref[take] = tn[take]
+    return t_ref
 
 
 def phase_to_height(phase: PhaseMap, lambda0: float) -> HeightMap:

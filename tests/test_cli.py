@@ -15,6 +15,7 @@ from psimlab.metrics import (SsimParams, align_global_offset, foreground_mask,
                              masked_mean_ssim, rms_error, ssim)
 from psimlab.nn.checkpoint import load_checkpoint, save_checkpoint
 
+ROOT = Path(__file__).resolve().parents[1]
 TINY_SPEC = {"mode": "phase", "depth": 2, "base": 4,
              "disc_blocks": 2, "disc_base": 4, "image_side": 16}
 
@@ -89,6 +90,16 @@ class TestSimulate:
         assert main(["simulate", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("field", [{"count": 0}, {"width": 0},
+                                       {"object_family": "nope"}],
+                             ids=["count_0", "width_0", "unknown_family"])
+    def test_bad_dataset_field_exits_2_without_output(self, tmp_path, field):
+        config = write_config(tmp_path / "c.json",
+                              {"count": 1, "width": 16, "height": 16, **field})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("cfg", [[{"count": 1}], {"count": 1, "model": []}],
                              ids=["config_list", "model_list"])
     def test_non_object_config_exits_2(self, tmp_path, cfg):
@@ -148,6 +159,54 @@ class TestReconstruct:
             assert sorted(timings) == ["compute", "io"]
             assert all(v >= 0.0 for v in timings.values())
             assert sum(timings.values()) <= manifest["wall_clock_s"] + 0.002
+
+    def test_unwrapped_sidecar_records_the_seed(self, sim_dir, tmp_path):
+        out = tmp_path / "recon"
+        assert main(["reconstruct", "--data", str(sim_dir),
+                     "--out", str(out)]) == 0
+        for d in sorted(p for p in out.iterdir() if p.is_dir()):
+            meta = io.read_sidecar(d / "phase_unwrapped.pfm")
+            r, c = meta["seed_pixel"]
+            # quality.pfm is float32, where clean stacks tie at the top
+            quality = io.read_pfm(d / "quality.pfm")
+            assert quality[r, c] == quality.max()
+            assert meta["quality_all_zero"] is False
+
+    def test_all_zero_quality_is_flagged(self, sim_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(sim_dir / "sample_00000", data / "sample_00000")
+        for k in range(1, 6):
+            io.write_pfm(data / "sample_00000" / f"frame_{k}.pfm",
+                         np.ones((16, 16)))
+        out = tmp_path / "recon"
+        with pytest.warns(UserWarning, match="raster"):
+            assert main(["reconstruct", "--data", str(data),
+                         "--out", str(out)]) == 0
+        meta = io.read_sidecar(out / "sample_00000" / "phase_unwrapped.pfm")
+        assert meta["seed_pixel"] == [0, 0]
+        assert meta["quality_all_zero"] is True
+
+    def test_benchmark_accepts_a_noisy_reconstruction(self, tmp_path,
+                                                      monkeypatch):
+        """The benchmark's own output check passes on a noisy 64^2 stack,
+        so an unwrap it would reject fails here first."""
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        data = simulate(tmp_path / "data", tmp_path, count=1, side=64,
+                        seed=3, model={"noise_sigma": 1.5})
+        out = tmp_path / "recon"
+        assert main(["reconstruct", "--data", str(data),
+                     "--out", str(out)]) == 0
+        expected = workloads.analyse_stack(data / "sample_00000")
+        assert expected.residue_fraction > 0
+        unwrapped = out / "sample_00000" / "phase_unwrapped.pfm"
+        assert workloads.classical_ok(unwrapped, expected)
+        quality = io.read_pfm(out / "sample_00000" / "quality.pfm")
+        seed = int(np.argmax(quality))
+        assert seed == expected.seed_index
+        assert io.read_sidecar(unwrapped)["seed_pixel"] == \
+            list(divmod(seed, 64))
 
     def test_incomplete_stack_exits_4(self, tmp_path):
         d = tmp_path / "data" / "sample_00000"

@@ -1,5 +1,6 @@
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,3 +371,50 @@ class TestUnwrapMatchesHeapOracle:
                       [1.0, 1.0, 0.0, 1.0],
                       [0.5, 0.0, 1.0, 1.0]])
         assert_matches_heap_oracle(PhaseMap(w, wrapped=True), QualityMap(q))
+
+    def test_signed_zero_quality_ties(self):
+        # -0.0 and 0.0 tie, so among solved neighbors of equal quality the
+        # first of up, down, left, right must stay the reference
+        rng = np.random.default_rng(12)
+        q = rng.choice([-0.0, 0.0, 0.0, 0.5], (9, 11))
+        q[4, 5] = 1.0
+        w = wrap_to_pi(rng.uniform(-8, 8, q.shape))
+        assert_matches_heap_oracle(PhaseMap(w, wrapped=True), QualityMap(q))
+
+    def test_spiral_quality(self):
+        # quality falls along a square spiral corridor between low walls, so
+        # the fill follows the corridor and each reference chain is as long
+        # as the path behind it
+        n = 21
+        rng = np.random.default_rng(13)
+        q = rng.uniform(0.0, 0.1, (n, n))
+        r = c = n // 2
+        path = [(r, c)]
+        moves = ((0, 1), (1, 0), (0, -1), (-1, 0))
+        leg = 0
+        while 0 <= r < n and 0 <= c < n:
+            dr, dc = moves[leg % 4]
+            for _ in range(2 * (leg // 2 + 1)):
+                r, c = r + dr, c + dc
+                if 0 <= r < n and 0 <= c < n:
+                    path.append((r, c))
+            leg += 1
+        for k, (r, c) in enumerate(path):
+            q[r, c] = 2.0 + len(path) - k
+        w = wrap_to_pi(rng.uniform(-8, 8, q.shape))
+        assert_matches_heap_oracle(PhaseMap(w, wrapped=True), QualityMap(q))
+
+
+def test_unwrap_memory_is_bounded():
+    # the one-pass loop over Python lists peaked at 13.8 MB here
+    rng = np.random.default_rng(14)
+    wrapped = PhaseMap(wrap_to_pi(rng.uniform(-8, 8, (256, 256))),
+                       wrapped=True)
+    quality = QualityMap(rng.uniform(0.0, 1.0, (256, 256)))
+    tracemalloc.start()
+    try:
+        unwrap_phase(wrapped, quality)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11e6
