@@ -9,18 +9,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import json
 import logging
 import os
 import sys
 import time
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from . import __version__, io
+from .config import check_fields
 from .gan import (build_pairs, chain_infer_frames, infer_phase, init_gan,
                   load_gan, rotations_12, save_gan, split_dataset, train)
 from .gan.train import GanSpec
@@ -31,7 +33,7 @@ from .metrics import (SsimParams, align_global_offset, foreground_mask,
 from .nn.checkpoint import CheckpointError
 from .reconstruct import reconstruct_stack
 from .simulate import (DEFAULT_SHIFTS, ForwardModelSpec, InterferogramStack,
-                       SourceSpec, synth_dataset)
+                       synth_dataset)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,29 +57,56 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_config(path):
+@dataclass
+class SimulateConfig:
+    count: int
+    width: int = 64
+    height: int = 64
+    object_family: str = "cell_blobs"
+    seed: int = 0
+    model: ForwardModelSpec = field(default_factory=ForwardModelSpec)
+
+    __post_init__ = check_fields
+
+
+@dataclass
+class TrainConfig:
+    spec: GanSpec = field(default_factory=GanSpec)
+    steps: int = 1000
+    seed: int = 0
+    batch_size: int = 1
+    train_fraction: float = 0.8
+    split_seed: int = 0
+    train_count: Optional[int] = None
+    augment: bool = False
+
+    def __post_init__(self):
+        # a train_count or train_fraction no dataset fits is a config error
+        check_fields(self)
+        if min(self.steps, self.seed, self.split_seed) < 0 or \
+                self.batch_size < 1 or not 0 < self.train_fraction < 1 or \
+                self.train_count is not None and self.train_count < 1:
+            raise ValueError("need steps and seeds >= 0, batch_size and "
+                             "train_count >= 1, 0 < train_fraction < 1")
+
+
+def _load_config(path, cls, **flags):
+    """``cls`` from the JSON object at ``path`` with the flags that are set
+    in place of its keys, and the hash of the object as read."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read config {path}: {exc}")
     try:
         cfg = json.loads(text)
+        set_flags = {k: v for k, v in flags.items() if v is not None}
+        config = cls(**{**cfg, **set_flags})
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_CONFIG, f"malformed JSON in {path}: {exc}")
-    if not isinstance(cfg, dict):
-        raise CliError(EXIT_CONFIG, f"config {path} is not a JSON object")
-    return cfg
-
-
-def _model_from_config(cfg):
-    if not isinstance(cfg, dict):
-        raise CliError(EXIT_CONFIG, "forward model config is not an object")
-    try:
-        source = SourceSpec(**cfg.get("source", {}))
-        fields = {k: v for k, v in cfg.items() if k != "source"}
-        return ForwardModelSpec(source=source, **fields)
     except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_CONFIG, f"bad forward model config: {exc}")
+        raise CliError(EXIT_CONFIG, f"bad config {path}: {exc}")
+    digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode())
+    return config, digest.hexdigest()[:16]
 
 
 def _write_manifest(out_dir, command, config_hash, seeds, inputs, outputs,
@@ -106,11 +135,6 @@ def _timed(timings, stage):
         yield
     finally:
         timings[stage] = timings.get(stage, 0.0) + time.monotonic() - start
-
-
-def _hash_obj(obj):
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _sample_dirs(data_dir):
@@ -156,22 +180,14 @@ def _load_dataset(data_dir):
 
 def cmd_simulate(args):
     started = time.monotonic()
-    cfg = _load_config(args.config)
-    try:
-        count = int(cfg["count"])
-        width = int(cfg.get("width", 64))
-        height = int(cfg.get("height", 64))
-        family = cfg.get("object_family", "cell_blobs")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_CONFIG, f"bad simulate config field: {exc}")
-    model = _model_from_config(cfg.get("model", {}))
+    cfg, cfg_hash = _load_config(args.config, SimulateConfig, seed=args.seed)
 
     timings = {}
     with _timed(timings, "simulate"):
         try:
-            dataset = synth_dataset(count, width, height, family, model, seed)
-        except ValueError as exc:
+            dataset = synth_dataset(cfg.count, cfg.width, cfg.height,
+                                    cfg.object_family, cfg.model, cfg.seed)
+        except (OverflowError, ValueError) as exc:
             raise CliError(EXIT_CONFIG, f"bad simulate config: {exc}")
 
     out = Path(args.out)
@@ -184,13 +200,13 @@ def cmd_simulate(args):
             p = d / f"frame_{k}.pfm"
             io.save_image(p, frame, seed=stack.seed,
                           realized_shifts=list(stack.realized_shifts),
-                          lambda0_nm=model.source.lambda0)
+                          lambda0_nm=cfg.model.source.lambda0)
         io.save_phase(d / "phase_gt.pfm", truth,
-                      lambda0_nm=model.source.lambda0, seed=stack.seed)
+                      lambda0_nm=cfg.model.source.lambda0, seed=stack.seed)
         outputs.append(str(d))
-    _write_manifest(out, "simulate", _hash_obj(cfg), {"master": seed},
+    _write_manifest(out, "simulate", cfg_hash, {"master": cfg.seed},
                     [str(args.config)], outputs, started, timings)
-    log.info("wrote %d samples to %s", count, out)
+    log.info("wrote %d samples to %s", cfg.count, out)
     return EXIT_OK
 
 
@@ -228,47 +244,30 @@ def cmd_reconstruct(args):
 
 def cmd_train(args):
     started = time.monotonic()
-    cfg = _load_config(args.config)
-    try:
-        spec = GanSpec(**cfg.get("spec", {}))
-        steps = (args.steps if args.steps is not None
-                 else int(cfg.get("steps", 1000)))
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        batch_size = int(cfg.get("batch_size", 1))
-        train_fraction = float(cfg.get("train_fraction", 0.8))
-        split_seed = int(cfg.get("split_seed", 0))
-        train_count = cfg.get("train_count")
-        if train_count is not None:
-            train_count = int(train_count)
-    except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_CONFIG, f"bad train config: {exc}")
-    if steps < 0 or batch_size < 1:
-        raise CliError(EXIT_CONFIG,
-                       "steps must be >= 0 and batch_size >= 1")
-    if args.mode and args.mode != spec.mode:
+    cfg, cfg_hash = _load_config(args.config, TrainConfig, steps=args.steps,
+                                 seed=args.seed)
+    if args.mode and args.mode != cfg.spec.mode:
         raise CliError(EXIT_MODE,
-                       f"--mode {args.mode} != config mode {spec.mode}")
+                       f"--mode {args.mode} != config mode {cfg.spec.mode}")
 
     dataset = _load_dataset(args.data)
-    train_set, _ = split_dataset(dataset, train_fraction=train_fraction,
-                                 seed=split_seed, train_count=train_count)
+    train_set, _ = split_dataset(dataset, train_fraction=cfg.train_fraction,
+                                 seed=cfg.split_seed,
+                                 train_count=cfg.train_count)
     if args.checkpoint:
-        try:
-            state = load_gan(args.checkpoint)
-        except CheckpointError as exc:
-            raise CliError(EXIT_INTEGRITY, str(exc))
-        if state.spec.mode != spec.mode:
+        state = load_gan(args.checkpoint)
+        if state.spec.mode != cfg.spec.mode:
             raise CliError(EXIT_MODE, "checkpoint mode differs from config")
         # normalized by the checkpoint's ranges only, which infer reads too
         try:
-            pairs, _ = build_pairs(train_set, spec.mode, state.norm_info)
+            pairs, _ = build_pairs(train_set, cfg.spec.mode, state.norm_info)
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(EXIT_INTEGRITY, f"{args.checkpoint}: no usable "
                            f"normalization ranges to resume with: {exc!r}")
     else:
-        pairs, norm_info = build_pairs(train_set, spec.mode)
-        state = init_gan(spec, seed=seed, norm_info=norm_info)
-    if cfg.get("augment", False):
+        pairs, norm_info = build_pairs(train_set, cfg.spec.mode)
+        state = init_gan(cfg.spec, seed=cfg.seed, norm_info=norm_info)
+    if cfg.augment:
         pairs = rotations_12(pairs)
     side = state.spec.image_side
     if any(stack.shape != (side, side) for stack, _ in train_set):
@@ -277,7 +276,7 @@ def cmd_train(args):
 
     timings = {}
     with _timed(timings, "train"):
-        train(state, pairs, steps, batch_size=batch_size)
+        train(state, pairs, cfg.steps, batch_size=cfg.batch_size)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -291,7 +290,7 @@ def cmd_train(args):
         for i, (ld, lga, lgl1) in enumerate(state.history, start=first):
             fh.write(f"{i},{ld!r},{lga!r},{lgl1!r}\n")
     # a resumed run trains with its checkpoint's seed, not the flag's
-    _write_manifest(out, "train", _hash_obj(cfg), {"train": state.seed},
+    _write_manifest(out, "train", cfg_hash, {"train": state.seed},
                     [str(args.data)], [str(ckpt)], started, timings)
     return EXIT_OK
 
@@ -299,13 +298,8 @@ def cmd_train(args):
 def cmd_infer(args):
     started = time.monotonic()
     timings = {}
-    try:
-        with _timed(timings, "load"):
-            state = load_gan(args.checkpoint)
-    except CheckpointError as exc:
-        raise CliError(EXIT_INTEGRITY, str(exc))
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read checkpoint: {exc}")
+    with _timed(timings, "load"):
+        state = load_gan(args.checkpoint)
     if args.mode and args.mode != state.spec.mode:
         raise CliError(EXIT_MODE,
                        f"--mode {args.mode} != checkpoint mode {state.spec.mode}")
@@ -398,8 +392,7 @@ def cmd_eval(args):
     report = {
         "metric": "phase-map comparison",
         # the samples' params differ only in dynamic_range
-        "params": dict(dataclasses.asdict(params),
-                       dynamic_range="truth peak-to-peak"),
+        "params": dict(asdict(params), dynamic_range="truth peak-to-peak"),
         "mean_ssim_full": float(np.mean([e["ssim_full"] for e in per_sample])),
         "mean_ssim_foreground": float(np.mean(
             [e["ssim_foreground"] for e in per_sample])),
@@ -467,6 +460,9 @@ def main(argv=None):
     except CliError as exc:
         log.error("%s", exc)
         return exc.code
+    except CheckpointError as exc:
+        log.error("%s", exc)
+        return EXIT_INTEGRITY
     except OSError as exc:
         log.error("I/O failure: %s", exc)
         return EXIT_IO

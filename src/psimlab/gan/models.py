@@ -28,8 +28,6 @@ def _tag_names(block: Sequential, tag: str):
 
 class UNetGenerator(Sequential):
     def __init__(self, depth=4, base=16, skips=True, rng=None):
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
         rng = rng or np.random.default_rng(0)
         self.depth = depth
         self.skips = skips
@@ -109,8 +107,6 @@ class UNetGenerator(Sequential):
 
 class PatchDiscriminator(Sequential):
     def __init__(self, blocks=3, base=16, rng=None):
-        if blocks < 1:
-            raise ValueError("need at least one block")
         rng = rng or np.random.default_rng(0)
         self.blocks = blocks
         layers = []

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ..config import check_fields
 from ..image import Image, PhaseMap
 from ..nn.adam import AdamState, adam_step
 from ..nn.checkpoint import (CheckpointError, load_checkpoint,
@@ -15,10 +15,6 @@ from ..nn.ops import NumericError, sigmoid_forward
 from ..simulate import DEFAULT_SHIFTS, ForwardModelSpec, InterferogramStack
 from .data import denormalize, normalize
 from .models import PatchDiscriminator, UNetGenerator
-
-
-def _is_number(value, kind):
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -36,26 +32,32 @@ class GanSpec:
     beta2: float = 0.999
 
     def __post_init__(self):
-        for name in ("depth", "base", "disc_blocks", "disc_base",
-                     "image_side"):
-            if not _is_number(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        for name in ("lambda_l1", "lr", "beta1", "beta2"):
-            if not _is_number(getattr(self, name), numbers.Real):
-                raise ValueError(f"{name} must be a number")
-        if not isinstance(self.skips, bool):
-            raise ValueError("skips must be true or false")
+        check_fields(self)
         if self.mode not in ("frames", "phase"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        if min(self.depth, self.base, self.disc_blocks, self.disc_base,
+               self.image_side) < 1 or self.lambda_l1 < 0:
+            raise ValueError("depth, base, disc_blocks, disc_base and "
+                             "image_side must be >= 1, lambda_l1 >= 0")
         if self.image_side % (2 ** self.depth) != 0:
             raise ValueError("image side must be divisible by 2^depth")
-        if self.lambda_l1 < 0:
-            raise ValueError("lambda_l1 must be >= 0")
 
-    def to_dict(self):
-        return dict(self.__dict__)
+
+@dataclass
+class GanMeta:
+    """The ``meta`` of a GAN checkpoint."""
+
+    spec: GanSpec
+    step: int
+    seed: int
+    norm_info: dict
+    g_opt_t: int
+    d_opt_t: int
+
+    def __post_init__(self):
+        check_fields(self)
+        if min(self.step, self.g_opt_t, self.d_opt_t) < 0:
+            raise ValueError("step and optimizer steps must be >= 0")
 
 
 @dataclass
@@ -227,66 +229,44 @@ def infer_phase(state: GanState, i1: Image) -> PhaseMap:
     return PhaseMap(denormalize(out, *phase_range), wrapped=False)
 
 
-def _opt_entries(prefix, opt: AdamState, params):
-    entries = []
-    for name, p in params:
-        entries.append((f"{prefix}.m.{name}", opt.m.get(name, np.zeros_like(p))))
-    for name, p in params:
-        entries.append((f"{prefix}.v.{name}", opt.v.get(name, np.zeros_like(p))))
+def _entries(state: GanState):
+    """Every parameter, then every Adam moment, in checkpoint order.  A
+    moment not made yet is made as zeros, as ``adam_step`` makes it."""
+    entries = state.generator.parameters() + state.discriminator.parameters()
+    for prefix, opt, net in (("opt.g", state.g_opt, state.generator),
+                             ("opt.d", state.d_opt, state.discriminator)):
+        for key, moments in (("m", opt.m), ("v", opt.v)):
+            entries += [(f"{prefix}.{key}.{name}",
+                         moments.setdefault(name, np.zeros_like(p)))
+                        for name, p in net.parameters()]
     return entries
 
 
 def save_gan(path, state: GanState):
-    params = state.generator.parameters() + state.discriminator.parameters()
-    entries = list(params)
-    entries += _opt_entries("opt.g", state.g_opt, state.generator.parameters())
-    entries += _opt_entries("opt.d", state.d_opt,
-                            state.discriminator.parameters())
-    meta = {
-        "spec": state.spec.to_dict(),
-        "step": state.step,
-        "seed": state.seed,
-        "norm_info": state.norm_info,
-        "g_opt_t": state.g_opt.t,
-        "d_opt_t": state.d_opt.t,
-    }
-    save_checkpoint(path, entries, meta)
+    meta = GanMeta(state.spec, state.step, state.seed, state.norm_info,
+                   state.g_opt.t, state.d_opt.t)
+    save_checkpoint(path, _entries(state), asdict(meta))
 
 
 def load_gan(path) -> GanState:
     """Restore a state written by ``save_gan``.
 
-    A checkpoint that passes its integrity checks but lacks a meta key, or
-    whose parameters are missing or shaped for another architecture, raises
-    ``CheckpointError``.
+    A checkpoint that passes its integrity checks but whose meta does not
+    fit ``GanMeta``, or whose parameters are missing or shaped for another
+    architecture, raises ``CheckpointError``.
     """
     entries, meta = load_checkpoint(path)
-    by_name = dict(entries)
-
-    def stored(name, like):
-        arr = by_name[name]
-        if arr.shape != like.shape:
-            raise ValueError(f"{name} has shape {arr.shape}, "
-                             f"expected {like.shape}")
-        return arr
-
+    stored = dict(entries)
     try:
-        spec = GanSpec(**meta["spec"])
-        state = init_gan(spec, seed=meta["seed"], norm_info=meta["norm_info"])
-        state.step = meta["step"]
-        state.g_opt.t = meta["g_opt_t"]
-        state.d_opt.t = meta["d_opt_t"]
-        model_params = state.generator.parameters() + \
-            state.discriminator.parameters()
-        for name, dst in model_params:
-            dst[...] = stored(name, dst)
-        for prefix, opt, params in (("opt.g", state.g_opt,
-                                     state.generator.parameters()),
-                                    ("opt.d", state.d_opt,
-                                     state.discriminator.parameters())):
-            for name, like in params:
-                opt.m[name] = stored(f"{prefix}.m.{name}", like).copy()
-                opt.v[name] = stored(f"{prefix}.v.{name}", like).copy()
+        meta = GanMeta(**meta)
+        state = init_gan(meta.spec, seed=meta.seed, norm_info=meta.norm_info)
+        state.step = meta.step
+        state.g_opt.t, state.d_opt.t = meta.g_opt_t, meta.d_opt_t
+        for name, dst in _entries(state):
+            if stored[name].shape != dst.shape:
+                raise ValueError(f"{name} has shape {stored[name].shape}, "
+                                 f"expected {dst.shape}")
+            dst[...] = stored[name]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"{path}: not a checkpoint of this GAN: {exc!r}") from None

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import check_fields
 from .image import Image, PhaseMap
 
 DEFAULT_SHIFTS = (-math.pi, -math.pi / 2.0, 0.0, math.pi / 2.0, math.pi)
@@ -35,6 +36,7 @@ class SourceSpec:
     delta_lambda: float = 72.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.lambda0 <= 0 or self.delta_lambda <= 0:
             raise ValueError("lambda0 and delta_lambda must be positive")
 
@@ -93,6 +95,7 @@ class ForwardModelSpec:
     envelope_reference_opd: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.i_object <= 0 or self.i_reference <= 0:
             raise ValueError("beam intensities must be positive")
         if self.jitter_sigma < 0 or self.noise_sigma < 0:

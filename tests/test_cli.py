@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import json
+import math
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -8,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psimlab import PhaseMap, io
-from psimlab.cli import _load_dataset, build_parser, main
-from psimlab.gan import build_pairs, load_gan, split_dataset, train
+from psimlab import ForwardModelSpec, PhaseMap, io
+from psimlab.cli import (SimulateConfig, TrainConfig, _load_dataset,
+                         build_parser, main)
+from psimlab.gan import (GanSpec, build_pairs, load_gan, split_dataset,
+                         train)
 from psimlab.metrics import (SsimParams, align_global_offset, foreground_mask,
                              masked_mean_ssim, rms_error, ssim)
 from psimlab.nn.checkpoint import load_checkpoint, save_checkpoint
@@ -90,9 +96,15 @@ class TestSimulate:
         assert main(["simulate", "--config", config,
                      "--out", str(tmp_path / "out")]) == 2
 
-    @pytest.mark.parametrize("field", [{"count": 0}, {"width": 0},
-                                       {"object_family": "nope"}],
-                             ids=["count_0", "width_0", "unknown_family"])
+    @pytest.mark.parametrize("field", [
+        {"count": 0}, {"width": 0}, {"object_family": "nope"},
+        {"count": 2.7}, {"count": "3"}, {"count": True}, {"width": 16.9},
+        {"model": {"i_object": True}}, {"model": {"noise_sigma": math.nan}},
+        {"model": {"source": {"lambda0": 1e200}}}, {"widht": 16},
+        {"seed": -1},
+    ], ids=["count_0", "width_0", "unknown_family", "count_float",
+            "count_string", "count_bool", "width_float", "model_bool",
+            "model_nan", "source_overflow", "unknown_key", "negative_seed"])
     def test_bad_dataset_field_exits_2_without_output(self, tmp_path, field):
         config = write_config(tmp_path / "c.json",
                               {"count": 1, "width": 16, "height": 16, **field})
@@ -484,6 +496,21 @@ class TestTrainInfer:
         assert self.run_with_checkpoint(command, ckpt, sim_dir, tmp_path) == 6
 
     @pytest.mark.parametrize("command", ["infer", "train"])
+    @pytest.mark.parametrize("key,value", [
+        ("step", "1"), ("step", 1.5), ("g_opt_t", "1"), ("norm_info", []),
+        ("d_opt_t", -1), ("seed", True), ("unknown", 0),
+    ], ids=["step_string", "step_float", "g_opt_t_string", "norm_info_list",
+            "negative_d_opt_t", "seed_bool", "unknown_key"])
+    def test_checkpoint_meta_of_wrong_type_exits_6(self, command, key, value,
+                                                   sim_dir, tmp_path):
+        def set_meta(entries, meta):
+            meta[key] = value
+            return entries
+
+        ckpt = self.resaved_checkpoint(sim_dir, tmp_path, set_meta)
+        assert self.run_with_checkpoint(command, ckpt, sim_dir, tmp_path) == 6
+
+    @pytest.mark.parametrize("command", ["infer", "train"])
     @pytest.mark.parametrize("edit", [
         lambda entries, meta: entries[:3],
         lambda entries, meta: [(n, p.reshape(-1)[:1]) if i == 0 else (n, p)
@@ -520,10 +547,27 @@ class TestTrainInfer:
         {"spec": dict(TINY_SPEC, lr="x")},
         {"spec": dict(TINY_SPEC, beta1="0.5")},
         {"spec": dict(TINY_SPEC, skips="no")},
+        {"spec": TINY_SPEC, "steps": True},
+        {"spec": TINY_SPEC, "batch_size": 2.5},
+        {"spec": TINY_SPEC, "augment": "false"},
+        {"spec": dict(TINY_SPEC, lr=math.nan)},
+        {"spec": dict(TINY_SPEC, base=0)},
+        {"spec": dict(TINY_SPEC, disc_blocks=0)},
+        {"spec": dict(TINY_SPEC, image_side=-16)},
+        {"spec": TINY_SPEC, "seed": -1},
+        {"spec": TINY_SPEC, "split_seed": -1},
+        {"spec": TINY_SPEC, "stpes": 4},
+        {"spec": TINY_SPEC, "train_count": 0},
+        {"spec": TINY_SPEC, "train_fraction": 1.0},
+        {"spec": TINY_SPEC, "train_fraction": -0.5},
     ], ids=["config_list", "steps", "seed", "batch_size", "split_seed",
             "train_count", "train_fraction", "spec_list", "negative_steps",
             "zero_batch_size", "spec_lr_string", "spec_beta1_string",
-            "spec_skips_string"])
+            "spec_skips_string", "steps_bool", "batch_size_float",
+            "augment_string", "spec_lr_nan", "spec_base_0",
+            "spec_disc_blocks_0", "spec_negative_image_side",
+            "negative_seed", "negative_split_seed", "unknown_key",
+            "zero_train_count", "train_fraction_1", "negative_train_fraction"])
     def test_bad_config_field_exits_2(self, sim_dir, tmp_path, cfg):
         config = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "o"
@@ -703,6 +747,80 @@ class TestExitCodeFuzz:
             assert code != 0
 
 
+SIM_CONFIG = {"count": 1, "width": 16, "height": 16,
+              "object_family": "cell_blobs", "seed": 0,
+              "model": {"source": {"lambda0": 520.0, "delta_lambda": 72.0},
+                        "i_object": 1.0, "i_reference": 1.0,
+                        "shift_schedule": [-3.0, -1.5, 0.0, 1.5, 3.0],
+                        "jitter_sigma": 0.0, "noise_sigma": 0.0,
+                        "envelope_reference_opd": 0.0}}
+TRAIN_CONFIG = {"spec": dict(TINY_SPEC, skips=True, lambda_l1=100.0,
+                             lr=2e-4, beta1=0.5, beta2=0.999),
+                "steps": 0, "seed": 0, "batch_size": 1,
+                "train_fraction": 0.8, "split_seed": 0, "train_count": None,
+                "augment": False}
+
+
+def field_paths(cfg, prefix=()):
+    """The key path of every field of a config, nested fields included."""
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from field_paths(value, prefix + (key,))
+
+
+def replace_field(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+class TestConfigFuzz:
+    """A config with one field, at any depth, replaced by a string, a
+    negative, a float, null, a list or an object ends in exit 0 or 2, never
+    in a traceback.  ``train`` runs 0 steps, so an accepted config is cheap."""
+
+    VALUES = st.one_of(
+        st.text(max_size=6),
+        st.integers(-10 ** 6, -1), st.floats(-1e6, -1e-6),
+        st.floats(-1e3, 1e3),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.none(),
+        st.lists(st.floats(-10.0, 10.0), max_size=6),
+        st.dictionaries(st.text(max_size=6), st.integers(), max_size=2))
+
+    # the data decides whether these fit: a train_fraction in (0, 1) may
+    # leave no test sample, and an empty spec's image_side is 64, not 16
+    DATA_DECIDES = {("train_fraction",), ("spec",)}
+
+    def run(self, fuzz_root, sim_dir, command, cfg):
+        config = write_config(fuzz_root / f"{command}.json", cfg)
+        argv = [command, "--config", config,
+                "--out", str(fuzz_root / f"{command}_out")]
+        return main(argv + (["--data", str(sim_dir)]
+                            if command == "train" else []))
+
+    def test_unmutated_configs_exit_0(self, fuzz_root, sim_dir):
+        for command, cfg in (("simulate", SIM_CONFIG), ("train", TRAIN_CONFIG)):
+            assert self.run(fuzz_root, sim_dir, command, cfg) == 0
+
+    @pytest.mark.parametrize("command,base", [("simulate", SIM_CONFIG),
+                                              ("train", TRAIN_CONFIG)],
+                             ids=["simulate", "train"])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_field_exits_0_or_2(self, fuzz_root, sim_dir, command,
+                                        base, data):
+        path = data.draw(st.sampled_from(list(field_paths(base))))
+        value = data.draw(self.VALUES)
+        code = self.run(fuzz_root, sim_dir, command,
+                        replace_field(base, path, value))
+        assert code in ({0, 2, 4} if path in self.DATA_DECIDES else {0, 2})
+
+
 class TestFlags:
     ARGS = {
         "simulate": ["--config", "c.json", "--out", "o"],
@@ -730,3 +848,26 @@ class TestFlags:
     def test_seed_is_kept_where_read(self, command):
         argv = [command] + self.ARGS[command] + ["--seed", "3"]
         assert build_parser().parse_args(argv).seed == 3
+
+
+def test_readme_walkthrough_configs_build():
+    """The two JSON configs of the README's CLI walkthrough build, so the
+    docs cannot drift from the keys a config may hold."""
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"<<'JSON'\n(.*?)\nJSON\n", text, re.S)
+    sim_cfg, train_cfg = (json.loads(block) for block in blocks)
+    assert SimulateConfig(**sim_cfg).model.noise_sigma == 0.04
+    assert TrainConfig(**train_cfg).spec.image_side == 64
+
+
+def test_readme_config_tables_list_every_field():
+    """Each config table of the README names exactly its class's fields."""
+    text = (ROOT / "README.md").read_text()
+    for heading, cls in (("`simulate` config:", SimulateConfig),
+                         ("`model` object:", ForwardModelSpec),
+                         ("`train` config:", TrainConfig),
+                         ("`spec` object", GanSpec)):
+        table = text.split(heading, 1)[1].split("\n\n", 2)[1]
+        keys = {key for row in table.splitlines()[2:]
+                for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+        assert keys == {f.name for f in dataclasses.fields(cls)}, heading

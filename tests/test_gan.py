@@ -488,6 +488,16 @@ class TestCheckpointing:
             assert np.array_equal(state.g_opt.v[name], back.g_opt.v[name])
         assert back.g_opt.t == state.g_opt.t
 
+    def test_untrained_state_resaves_byte_identical(self, tmp_path):
+        # an untrained state has no Adam moments yet: they are saved as zeros
+        state = init_gan(tiny_spec("phase"), seed=3,
+                         norm_info={"intensity_range": (0.0, 4.0),
+                                    "phase_range": (-1.0, 1.0)})
+        first, again = tmp_path / "first.ckpt", tmp_path / "again.ckpt"
+        save_gan(first, state)
+        save_gan(again, load_gan(first))
+        assert first.read_bytes() == again.read_bytes()
+
     def test_restored_state_trains_identically(self, tmp_path):
         pairs = random_pairs(4, seed=8)
         state = train(init_gan(tiny_spec("frames"), seed=5), pairs, 2)
