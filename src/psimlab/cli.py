@@ -187,6 +187,9 @@ def cmd_simulate(args):
         try:
             dataset = synth_dataset(cfg.count, cfg.width, cfg.height,
                                     cfg.object_family, cfg.model, cfg.seed)
+            for stack, truth in dataset:  # as write_pfm will store them
+                for grid in (*stack.frames, truth):
+                    io.pfm_data(grid.data)
         except (OverflowError, ValueError) as exc:
             raise CliError(EXIT_CONFIG, f"bad simulate config: {exc}")
 
@@ -261,7 +264,7 @@ def cmd_train(args):
         # normalized by the checkpoint's ranges only, which infer reads too
         try:
             pairs, _ = build_pairs(train_set, cfg.spec.mode, state.norm_info)
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise CliError(EXIT_INTEGRITY, f"{args.checkpoint}: no usable "
                            f"normalization ranges to resume with: {exc!r}")
     else:

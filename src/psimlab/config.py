@@ -1,5 +1,5 @@
 """The one type check of the dataclasses that JSON configs and checkpoint
-metadata are read into."""
+metadata are read into, and of the TypedDicts they hold."""
 
 from __future__ import annotations
 
@@ -21,12 +21,20 @@ def _fits(value, kind):
         return (isinstance(value, numbers.Real) and not isinstance(value, bool)
                 and (isinstance(value, numbers.Integral) if kind is int
                      else abs(value) <= sys.float_info.max))
+    if typing.is_typeddict(kind):  # declared keys only; none is required
+        hints = dict(_annotations(kind))
+        return isinstance(value, dict) and all(
+            key in hints and _fits(item, hints[key])
+            for key, item in value.items())
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is typing.Union:
         return any(_fits(value, arg) for arg in args)
     if origin is collections.abc.Sequence:
         return isinstance(value, (list, tuple)) and all(
             _fits(item, args[0]) for item in value)
+    if origin is tuple:  # fixed length
+        return isinstance(value, (list, tuple)) and len(value) == len(
+            args) and all(_fits(item, arg) for item, arg in zip(value, args))
     return isinstance(value, kind)
 
 

@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple, TypedDict
 
 import numpy as np
 from scipy import ndimage
+
+
+class NormInfo(TypedDict, total=False):
+    """The dataset-wide ranges a model was trained with, as its checkpoint
+    records them; ``phase_range`` is recorded in mode ``phase`` only."""
+
+    mode: str
+    intensity_range: Tuple[float, float]
+    phase_range: Tuple[float, float]
 
 
 @dataclass
@@ -54,7 +64,7 @@ def dataset_phase_range(dataset, margin=0.05):
     return float(lo - pad), float(hi + pad)
 
 
-def build_pairs(dataset, mode, ranges=None):
+def build_pairs(dataset, mode, ranges=None) -> Tuple[list, NormInfo]:
     """Turn (stack, truth) samples into normalized training pairs.
 
     mode ``frames``: four pairs per stack, frame k -> frame k+1 (one shared
@@ -63,8 +73,7 @@ def build_pairs(dataset, mode, ranges=None):
     dataset-wide fixed phase range.  Intensities always use the dataset-wide
     range so inference from a single frame normalizes consistently.
     ``ranges``, a ``norm_info`` such as a checkpoint records, supplies the
-    ranges to use instead, and must hold each of them (KeyError, or
-    TypeError if it is not a mapping).
+    ranges to use instead, and must hold each of them (KeyError).
 
     Returns (pairs, norm_info) where norm_info records the intensity range
     and, for mode phase, the phase range used.
@@ -76,7 +85,7 @@ def build_pairs(dataset, mode, ranges=None):
 
     intensity_range = (dataset_intensity_range(dataset) if ranges is None
                        else ranges["intensity_range"])
-    norm_info = {"mode": mode, "intensity_range": intensity_range}
+    norm_info = NormInfo(mode=mode, intensity_range=intensity_range)
     pairs = []
 
     lo, hi = intensity_range

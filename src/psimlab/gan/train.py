@@ -13,7 +13,7 @@ from ..nn.checkpoint import (CheckpointError, load_checkpoint,
                              save_checkpoint)
 from ..nn.ops import NumericError, sigmoid_forward
 from ..simulate import DEFAULT_SHIFTS, ForwardModelSpec, InterferogramStack
-from .data import denormalize, normalize
+from .data import NormInfo, denormalize, normalize
 from .models import PatchDiscriminator, UNetGenerator
 
 
@@ -50,7 +50,7 @@ class GanMeta:
     spec: GanSpec
     step: int
     seed: int
-    norm_info: dict
+    norm_info: NormInfo
     g_opt_t: int
     d_opt_t: int
 
@@ -69,7 +69,7 @@ class GanState:
     d_opt: AdamState
     step: int = 0
     seed: int = 0
-    norm_info: dict = field(default_factory=dict)
+    norm_info: NormInfo = field(default_factory=NormInfo)
     history: list = field(default_factory=list)  # (L_D, L_G_adv, L_G_l1)
 
 
@@ -187,12 +187,11 @@ def generator_apply(state: GanState, normalized: np.ndarray) -> np.ndarray:
     return out[0, 0]
 
 
-def _intensity_range(state: GanState, i1: Image):
-    """The training set's intensity range, else the frame's own."""
-    lo_hi = state.norm_info.get("intensity_range")
-    if lo_hi is None:
-        lo_hi = (float(i1.data.min()), float(i1.data.max()))
-    return lo_hi
+def _recorded(state: GanState, key):
+    """The training set's range ``key`` from ``state.norm_info``."""
+    if key not in state.norm_info:
+        raise ValueError(f"state carries no recorded {key}")
+    return state.norm_info[key]
 
 
 def chain_infer_frames(state: GanState, i1: Image, generator_fn=None):
@@ -204,7 +203,7 @@ def chain_infer_frames(state: GanState, i1: Image, generator_fn=None):
     """
     if state.spec.mode != "frames":
         raise ValueError("chain inference requires a frames-mode model")
-    lo, hi = _intensity_range(state, i1)
+    lo, hi = _recorded(state, "intensity_range")
     fn = generator_fn or (lambda g: generator_apply(state, g))
 
     current = normalize(i1.data, lo, hi)
@@ -221,10 +220,8 @@ def infer_phase(state: GanState, i1: Image) -> PhaseMap:
     """Approach 2 inference: single interferogram straight to unwrapped phase."""
     if state.spec.mode != "phase":
         raise ValueError("direct phase inference requires a phase-mode model")
-    phase_range = state.norm_info.get("phase_range")
-    if phase_range is None:
-        raise ValueError("state carries no recorded phase range")
-    lo, hi = _intensity_range(state, i1)
+    lo, hi = _recorded(state, "intensity_range")
+    phase_range = _recorded(state, "phase_range")
     out = generator_apply(state, normalize(i1.data, lo, hi))
     return PhaseMap(denormalize(out, *phase_range), wrapped=False)
 

@@ -12,11 +12,24 @@ from .image import Image, PhaseMap
 from .metrics import Profile
 
 
-def write_pfm(path, data: np.ndarray):
-    """Grayscale PFM: 'Pf' header, little-endian float32, bottom-up scanlines."""
-    data = np.asarray(data, dtype=np.float32)
+def pfm_data(data) -> np.ndarray:
+    """``data`` as the float32 a PFM stores; ``ValueError`` unless it is 2D
+    and every value is finite in float32."""
+    with np.errstate(over="ignore"):
+        data = np.asarray(data, dtype=np.float32)
     if data.ndim != 2:
         raise ValueError("PFM writer expects a 2D array")
+    if not np.isfinite(data).all():
+        raise ValueError("PFM data is not finite in float32")
+    return data
+
+
+def write_pfm(path, data: np.ndarray):
+    """Grayscale PFM: 'Pf' header, little-endian float32, bottom-up scanlines."""
+    try:
+        data = pfm_data(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     height, width = data.shape
     with open(path, "wb") as fh:
         fh.write(b"Pf\n")

@@ -225,9 +225,13 @@ def _random_object(kind: str, width: int, height: int,
     if kind == "flat":
         return PhaseObjectSpec(kind="flat")
     if kind == "waveguide_ridge":
-        w = rng.uniform(0.12, 0.3) * width
-        edge = rng.uniform(3.0, 6.0)
-        center = rng.uniform(w / 2 + edge + 1, width - w / 2 - edge - 2)
+        # at small widths the ridge is widened to 1 px and its edges are
+        # narrowed to fit, with the same draws, so an object that fitted
+        # unclamped is unchanged; ``max`` absorbs rounding at zero room
+        w = max(rng.uniform(0.12, 0.3) * width, 1.0)
+        edge = min(rng.uniform(3.0, 6.0), (width - w - 3) / 2)
+        low = w / 2 + edge + 1
+        center = rng.uniform(low, max(low, width - w / 2 - edge - 2))
         h = rng.uniform(40.0, 120.0)
         return PhaseObjectSpec(kind="waveguide_ridge", ridge_center=center,
                                ridge_width=w, ridge_height=h, edge_width=edge)
@@ -237,7 +241,7 @@ def _random_object(kind: str, width: int, height: int,
         for _ in range(n):
             r0 = rng.uniform(0.2, 0.8) * height
             c0 = rng.uniform(0.2, 0.8) * width
-            radius = rng.uniform(0.08, 0.2) * min(width, height)
+            radius = max(rng.uniform(0.08, 0.2) * min(width, height), 1.0)
             peak = rng.uniform(30.0, 110.0)
             blobs.append((r0, c0, radius, peak))
         return PhaseObjectSpec(kind="cell_blobs", blobs=blobs)

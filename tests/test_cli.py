@@ -1,9 +1,9 @@
 import copy
-import dataclasses
 import json
 import math
 import re
 import shutil
+import typing
 import warnings
 from pathlib import Path
 
@@ -17,6 +17,7 @@ from psimlab.cli import (SimulateConfig, TrainConfig, _load_dataset,
                          build_parser, main)
 from psimlab.gan import (GanSpec, build_pairs, load_gan, split_dataset,
                          train)
+from psimlab.gan.data import NormInfo
 from psimlab.metrics import (SsimParams, align_global_offset, foreground_mask,
                              masked_mean_ssim, rms_error, ssim)
 from psimlab.nn.checkpoint import load_checkpoint, save_checkpoint
@@ -101,10 +102,11 @@ class TestSimulate:
         {"count": 2.7}, {"count": "3"}, {"count": True}, {"width": 16.9},
         {"model": {"i_object": True}}, {"model": {"noise_sigma": math.nan}},
         {"model": {"source": {"lambda0": 1e200}}}, {"widht": 16},
-        {"seed": -1},
+        {"seed": -1}, {"model": {"noise_sigma": 1e300}},
     ], ids=["count_0", "width_0", "unknown_family", "count_float",
             "count_string", "count_bool", "width_float", "model_bool",
-            "model_nan", "source_overflow", "unknown_key", "negative_seed"])
+            "model_nan", "source_overflow", "unknown_key", "negative_seed",
+            "frames_beyond_float32"])
     def test_bad_dataset_field_exits_2_without_output(self, tmp_path, field):
         config = write_config(tmp_path / "c.json",
                               {"count": 1, "width": 16, "height": 16, **field})
@@ -250,6 +252,18 @@ class TestReconstruct:
         assert self.corrupt_frame(sim_dir, tmp_path,
                                   lambda raw: raw[:-4] + nan) == 4
         assert "NaN" in caplog.text
+
+    def test_height_beyond_float32_exits_4_unwritten(self, sim_dir,
+                                                     tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(sim_dir / "sample_00000", data / "sample_00000")
+        sidecar = data / "sample_00000" / "frame_1.pfm.json"
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps(dict(meta, lambda0_nm=1e306)))
+        out = tmp_path / "out"
+        assert main(["reconstruct", "--data", str(data),
+                     "--out", str(out)]) == 4
+        assert not (out / "sample_00000" / "height.pfm").exists()
 
     @pytest.mark.parametrize("command,sidecar,text", [
         ("reconstruct", "frame_1.pfm.json", "[]"),
@@ -499,12 +513,20 @@ class TestTrainInfer:
     @pytest.mark.parametrize("key,value", [
         ("step", "1"), ("step", 1.5), ("g_opt_t", "1"), ("norm_info", []),
         ("d_opt_t", -1), ("seed", True), ("unknown", 0),
+        ("norm_info.intensity_range", "ab"),
+        ("norm_info.intensity_range", [1.0]),
+        ("norm_info.intensity_range", [1.0, "x"]),
+        ("norm_info.intensity_range", [1.0, math.nan]),
+        ("norm_info.intensity_range", None),
     ], ids=["step_string", "step_float", "g_opt_t_string", "norm_info_list",
-            "negative_d_opt_t", "seed_bool", "unknown_key"])
+            "negative_d_opt_t", "seed_bool", "unknown_key",
+            "intensity_range_string", "intensity_range_one_number",
+            "intensity_range_string_item", "intensity_range_nan",
+            "intensity_range_null"])
     def test_checkpoint_meta_of_wrong_type_exits_6(self, command, key, value,
                                                    sim_dir, tmp_path):
         def set_meta(entries, meta):
-            meta[key] = value
+            meta.update(replace_field(meta, tuple(key.split(".")), value))
             return entries
 
         ckpt = self.resaved_checkpoint(sim_dir, tmp_path, set_meta)
@@ -821,6 +843,38 @@ class TestConfigFuzz:
         assert code in ({0, 2, 4} if path in self.DATA_DECIDES else {0, 2})
 
 
+class TestCheckpointMetaFuzz:
+    """A checkpoint whose meta has one field, at any depth, replaced by a
+    ``TestConfigFuzz.VALUES`` draw ends ``infer`` and a resumed ``train``
+    (0 steps) in exit 0 or 6, never in a traceback."""
+
+    # the data decides on these: a checkpoint of the other mode meets the
+    # train config's mode, one of another image_side meets 16^2 data, and
+    # an empty norm_info is a record with no ranges, which inference
+    # reports as bad input data
+    DATA_DECIDES = {("train", ("spec", "mode")): {5},
+                    ("train", ("spec", "image_side")): {4},
+                    ("infer", ("norm_info",)): {4}}
+
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_meta_field_exits_0_or_6(self, fuzz_root, sim_dir,
+                                             command, data):
+        entries, meta = load_checkpoint(fuzz_root / "run" / "checkpoint.ckpt")
+        path = data.draw(st.sampled_from(list(field_paths(meta))))
+        ckpt = fuzz_root / f"{command}_meta.ckpt"
+        save_checkpoint(ckpt, entries, replace_field(
+            meta, path, data.draw(TestConfigFuzz.VALUES)))
+        argv = [command]
+        if command == "train":
+            argv += ["--config",
+                     write_config(fuzz_root / "resume.json", TRAIN_CONFIG)]
+        code = main(argv + ["--checkpoint", str(ckpt), "--data", str(sim_dir),
+                            "--out", str(fuzz_root / f"{command}_meta_out")])
+        assert code in {0, 6} | self.DATA_DECIDES.get((command, path), set())
+
+
 class TestFlags:
     ARGS = {
         "simulate": ["--config", "c.json", "--out", "o"],
@@ -861,13 +915,15 @@ def test_readme_walkthrough_configs_build():
 
 
 def test_readme_config_tables_list_every_field():
-    """Each config table of the README names exactly its class's fields."""
+    """Each config table of the README names exactly its class's fields,
+    and the checkpoint's ``norm_info`` table exactly ``NormInfo``'s keys."""
     text = (ROOT / "README.md").read_text()
     for heading, cls in (("`simulate` config:", SimulateConfig),
                          ("`model` object:", ForwardModelSpec),
                          ("`train` config:", TrainConfig),
-                         ("`spec` object", GanSpec)):
+                         ("`spec` object", GanSpec),
+                         ("`norm_info` object", NormInfo)):
         table = text.split(heading, 1)[1].split("\n\n", 2)[1]
         keys = {key for row in table.splitlines()[2:]
                 for key in re.findall(r"`(\w+)`", row.split("|")[1])}
-        assert keys == {f.name for f in dataclasses.fields(cls)}, heading
+        assert keys == set(typing.get_type_hints(cls)), heading

@@ -401,7 +401,8 @@ class TestTraining:
 
 class TestInference:
     def test_chain_identity_generator(self):
-        state = init_gan(tiny_spec("frames"), seed=0)
+        state = init_gan(tiny_spec("frames"), seed=0,
+                         norm_info={"intensity_range": (0.0, 4.0)})
         i1 = Image(np.random.default_rng(0).uniform(0, 4, (16, 16)))
         frames, stack = chain_infer_frames(state, i1,
                                            generator_fn=lambda g: g)
@@ -444,7 +445,8 @@ class TestInference:
 
     def test_infer_phase_denormalizes(self):
         state = init_gan(tiny_spec("phase"), seed=0,
-                         norm_info={"phase_range": (0.0, 4.0)})
+                         norm_info={"intensity_range": (0.0, 1.0),
+                                    "phase_range": (0.0, 4.0)})
         zero_params(state.generator)
         out = infer_phase(state, Image(np.random.default_rng(0)
                                        .uniform(0, 1, (16, 16))))

@@ -42,6 +42,17 @@ class TestPfm:
         with pytest.raises(ValueError):
             io.read_pfm(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300],
+                             ids=["nan", "inf", "beyond_float32"])
+    def test_writes_no_value_that_is_not_finite_in_float32(self, tmp_path,
+                                                           value):
+        path = tmp_path / "x.pfm"
+        data = np.zeros((3, 5))
+        data[1, 2] = value
+        with np.errstate(over="raise"), pytest.raises(ValueError):
+            io.write_pfm(path, data)
+        assert not path.exists()
+
     def test_sidecar_round_trip(self, tmp_path):
         path = tmp_path / "p.pfm"
         io.save_phase(path, PhaseMap(np.zeros((8, 8)), wrapped=True), seed=7)

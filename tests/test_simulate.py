@@ -196,6 +196,17 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             synth_dataset(0, 16, 16, "flat", ForwardModelSpec(), seed=0)
 
+    @pytest.mark.parametrize("side", [*range(8, 24), 32, 64])
+    @pytest.mark.parametrize("family", ["cell_blobs", "waveguide_ridge"])
+    def test_every_seed_draws_an_object_that_fits(self, family, side):
+        # the draws scale with the side: below 13 px a blob radius can
+        # fall under 1 px, below 20 px a ridge and its edges can outgrow
+        # the image
+        for seed in range(40):
+            (stack, truth), = synth_dataset(1, side, side, family,
+                                            ForwardModelSpec(), seed=seed)
+            assert truth.shape == stack.shape == (side, side)
+
 
 class TestSpecValidation:
     def test_shift_schedule_length(self):
