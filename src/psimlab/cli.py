@@ -215,11 +215,12 @@ def cmd_simulate(args):
 
 def cmd_reconstruct(args):
     started = time.monotonic()
+    samples = _sample_dirs(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     timings = {}
-    for d in _sample_dirs(args.data):
+    for d in samples:
         with _timed(timings, "io"):
             stack, meta = _load_stack(d)
         lambda0 = meta.get("lambda0_nm")
@@ -306,10 +307,11 @@ def cmd_infer(args):
     if args.mode and args.mode != state.spec.mode:
         raise CliError(EXIT_MODE,
                        f"--mode {args.mode} != checkpoint mode {state.spec.mode}")
+    samples = _sample_dirs(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for d in _sample_dirs(args.data):
+    for d in samples:
         i1_path = d / "frame_1.pfm"
         if not i1_path.exists():
             raise CliError(EXIT_DATA, f"{d} has no frame_1.pfm")
@@ -338,12 +340,13 @@ def cmd_infer(args):
 
 def cmd_eval(args):
     started = time.monotonic()
+    samples = _sample_dirs(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pred_root = Path(args.pred) if args.pred else Path(args.data)
     per_sample = []
     timings = {}
-    for d in _sample_dirs(args.data):
+    for d in samples:
         truth_path = d / "phase_gt.pfm"
         if not truth_path.exists():
             raise CliError(EXIT_DATA, f"{d} has no phase_gt.pfm")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
+from array import array
 
 import numpy as np
 
@@ -13,6 +14,8 @@ from .simulate import InterferogramStack
 
 # unwrap_phase converts its steps to Python floats this many at a time
 _SLICE = 1 << 16
+# _pop_order parks queued ranks in blocks of this many consecutive ranks
+_BLOCK = 256
 
 
 class QualityMap(Image):
@@ -68,7 +71,9 @@ def unwrap_phase(wrapped: PhaseMap, quality: QualityMap) -> PhaseMap:
     padded with a one-pixel blocked border.  The fill runs in three passes
     with the same result, bit for bit, as one loop that does it all:
 
-    1. A heap loop over ranks finds the pop order only.
+    1. A loop over ranks finds the pop order only.  Its queue is a small
+       heap of the lowest ranks queued, in front of blocks that hold
+       the higher ones unsorted until the heap runs dry.
     2. numpy gives each pixel its reference, the neighbor popped before it
        that the one loop would have chosen, and its wrapped step, by the
        same IEEE operations.
@@ -93,7 +98,7 @@ def unwrap_phase(wrapped: PhaseMap, quality: QualityMap) -> PhaseMap:
 
     # padded grid: pixel (r, c) sits in cell (r + 1) * stride + c + 1
     stride = cols + 2
-    popped = np.array(_pop_order(q, stride))
+    popped = _pop_order(q, stride)
     sr, sc = divmod(int(popped[0]) - stride - 1, stride)
     t_ref = _references(popped, q, stride)
 
@@ -123,52 +128,93 @@ def unwrap_phase(wrapped: PhaseMap, quality: QualityMap) -> PhaseMap:
 
 
 def _pop_order(q, stride):
-    """Pass 1 of ``unwrap_phase``: the list of padded cells in the order the
-    fill solves them, the seed first.  Only the lowest rank is popped, so the
-    heap loop does nothing else but queue free neighbors."""
+    """Pass 1 of ``unwrap_phase``: the padded cells in the order the fill
+    solves them, the seed first, as an int64 array.  Only the lowest rank is
+    popped, so the loop does nothing else but queue free neighbors.
+
+    The queue is a heap in front of blocks of ``_BLOCK`` consecutive ranks
+    (Dial, 1969).  A rank below ``tau``, the end of the highest block opened
+    so far, goes on the heap; a higher one is parked unsorted in its block.
+    When the heap runs dry the lowest nonempty block is heapified and ``tau``
+    moves past it.  Every parked rank is above every heap rank, so each pop
+    is still the lowest rank queued, and the heap holds only the ranks
+    queued below ``tau`` in place of the whole frontier."""
     rows, cols = q.shape
-    # rank 0 is the argmax, ties broken row-major: the stable sort keeps the
-    # row-major order among equal qualities
-    r, c = np.divmod(np.argsort(-q.ravel(), kind="stable"), cols)
+    # rank 0 is the argmax, ties broken row-major.  Without ties any sort
+    # gives that order; with one (-0.0 and 0.0 tie too) only the stable sort
+    # keeps the row-major order among equal qualities.  Image data is finite.
+    neg = -q.ravel()
+    order = np.argsort(neg)
+    sq = neg[order]
+    if (sq[1:] == sq[:-1]).any():
+        order = np.argsort(neg, kind="stable")
+    del neg, sq
+    r, c = np.divmod(order, cols)
+    del order
     cell = (r + 1) * stride + c + 1  # rank -> cell
     del r, c
     rank = np.zeros((rows + 2) * stride, dtype=np.int64)
     rank[cell] = np.arange(cell.size)
     seed = int(cell[0])
+    nblocks = -(-cell.size // _BLOCK)
     cell = cell.tolist()
     rank = rank.tolist()
     # free[n] is 1 until n is queued; border cells and the seed start at 0
     free = bytearray(np.pad(np.ones(q.shape, np.uint8), 1).tobytes())
     free[seed] = 0
-    popped = [seed]
-    frontier = []
+    popped = array("q")
+    record = popped.append
+    heap = [0]  # the seed's rank
+    blocks = [[] for _ in range(nblocks)]
+    block = _BLOCK
+    tau = block
+    opened = 1  # blocks below this one hold no parked rank
     heappush = heapq.heappush
     heappop = heapq.heappop
-    record = popped.append
-    for n in (seed - stride, seed + stride, seed - 1, seed + 1):
-        if free[n]:
-            free[n] = 0
-            heappush(frontier, rank[n])
-    while frontier:
-        p = cell[heappop(frontier)]
-        record(p)
-        n = p - stride
-        if free[n]:
-            free[n] = 0
-            heappush(frontier, rank[n])
-        n = p + stride
-        if free[n]:
-            free[n] = 0
-            heappush(frontier, rank[n])
-        n = p - 1
-        if free[n]:
-            free[n] = 0
-            heappush(frontier, rank[n])
-        n = p + 1
-        if free[n]:
-            free[n] = 0
-            heappush(frontier, rank[n])
-    return popped
+    while True:
+        while heap:
+            p = cell[heappop(heap)]
+            record(p)
+            n = p - stride
+            if free[n]:
+                free[n] = 0
+                k = rank[n]
+                if k < tau:
+                    heappush(heap, k)
+                else:
+                    blocks[k // block].append(k)
+            n = p + stride
+            if free[n]:
+                free[n] = 0
+                k = rank[n]
+                if k < tau:
+                    heappush(heap, k)
+                else:
+                    blocks[k // block].append(k)
+            n = p - 1
+            if free[n]:
+                free[n] = 0
+                k = rank[n]
+                if k < tau:
+                    heappush(heap, k)
+                else:
+                    blocks[k // block].append(k)
+            n = p + 1
+            if free[n]:
+                free[n] = 0
+                k = rank[n]
+                if k < tau:
+                    heappush(heap, k)
+                else:
+                    blocks[k // block].append(k)
+        while opened < nblocks and not blocks[opened]:
+            opened += 1
+        if opened == nblocks:
+            return np.frombuffer(popped, dtype=np.int64)
+        heap = blocks[opened]
+        heapq.heapify(heap)
+        opened += 1
+        tau = opened * block
 
 
 def _references(popped, q, stride):

@@ -904,6 +904,22 @@ class TestFlags:
         assert build_parser().parse_args(argv).seed == 3
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "infer", "eval"])
+@pytest.mark.parametrize("data,code", [("missing", 3), ("empty", 4)])
+def test_bad_data_dir_exits_without_output(command, data, code, fuzz_root,
+                                           tmp_path):
+    if data == "empty":
+        (tmp_path / "empty").mkdir()
+    argv = {"reconstruct": [],
+            "infer": ["--checkpoint",
+                      str(fuzz_root / "run" / "checkpoint.ckpt")],
+            "eval": ["--pred", str(fuzz_root / "recon")]}[command]
+    out = tmp_path / "x" / "out"
+    assert main([command, *argv, "--data", str(tmp_path / data),
+                 "--out", str(out)]) == code
+    assert not out.exists() and not out.parent.exists()
+
+
 def test_readme_walkthrough_configs_build():
     """The two JSON configs of the README's CLI walkthrough build, so the
     docs cannot drift from the keys a config may hold."""

@@ -13,6 +13,7 @@ from psimlab import (DEFAULT_SHIFTS, ForwardModelSpec, Image,
                      align_global_offset, five_step_wrapped_phase,
                      make_phase_object, modulation_amplitude, phase_to_height,
                      simulate_stack, unwrap_phase, wrap_to_pi)
+from psimlab import reconstruct
 from psimlab.reconstruct import QualityMap
 
 TWO_PI = 2.0 * math.pi
@@ -418,3 +419,115 @@ def test_unwrap_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 11e6
+
+
+def assert_pops_like_one_heap(q):
+    assert reconstruct._pop_order(q, q.shape[1] + 2).tolist() \
+        == heapq_pop_order(q)
+
+
+def heapq_pop_order(q):
+    """The padded cells (stride = columns + 2) in the order one plain heap
+    of (-quality, row-major index) keys pops them, the seed first."""
+    rows, cols = q.shape
+    stride = cols + 2
+    key = [(-v, f) for f, v in enumerate(q.ravel().tolist())]
+    seed = min(range(q.size), key=key.__getitem__)
+    queued = {seed}
+    frontier = [key[seed]]
+    order = []
+    while frontier:
+        _, f = heapq.heappop(frontier)
+        r, c = divmod(f, cols)
+        order.append((r + 1) * stride + c + 1)
+        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            n = nr * cols + nc
+            if 0 <= nr < rows and 0 <= nc < cols and n not in queued:
+                queued.add(n)
+                heapq.heappush(frontier, key[n])
+    return order
+
+
+def walled_basin(side, seed):
+    """A best-quality corner outside a one-pixel wall of the lowest quality,
+    with one gate into a noisy basin; the fill floods the corner region,
+    then the whole basin waits behind the gate."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.1, 1.0, (side, side))  # the basin
+    k = side // 4
+    q[:k, :] = rng.uniform(1.0, 2.0, (k, side))
+    q[:, :k] = rng.uniform(1.0, 2.0, (side, k))
+    q[0, 0] = 3.0
+    q[k, k:] = 0.0
+    q[k:, k] = 0.0
+    q[k, side // 2] = 0.05  # the gate
+    w = wrap_to_pi(rng.uniform(-8, 8, q.shape))
+    return PhaseMap(w, wrapped=True), QualityMap(q)
+
+
+class TestPopOrderBlockEdges:
+    """The block queue of ``_pop_order`` with blocks so short that queued
+    ranks cross a block edge at nearly every push."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @settings(max_examples=150, deadline=None)
+    @given(shape=_shapes, data=st.data())
+    def test_random_maps(self, block, shape, data):
+        w = data.draw(hnp.arrays(np.float64, shape, elements=_phase_values))
+        q = data.draw(hnp.arrays(np.float64, shape, elements=_quality_values))
+        assume(np.any(q > 0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reconstruct, "_BLOCK", block)
+            assert_matches_heap_oracle(PhaseMap(w, wrapped=True),
+                                       QualityMap(q))
+            assert_pops_like_one_heap(q)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize("side", [64, 128])
+    @pytest.mark.parametrize("noise", [0.0, 1.5])
+    def test_simulated_stacks(self, monkeypatch, block, side, noise):
+        monkeypatch.setattr(reconstruct, "_BLOCK", block)
+        spec = PhaseObjectSpec(kind="waveguide_ridge", ridge_center=side / 2,
+                               ridge_width=side / 3, ridge_height=200.0,
+                               edge_width=6.0)
+        truth = make_phase_object(spec, side, side)
+        stack = simulate_stack(truth, ForwardModelSpec(noise_sigma=noise),
+                               seed=side)
+        quality = modulation_amplitude(stack)
+        assert_matches_heap_oracle(five_step_wrapped_phase(stack), quality)
+        assert_pops_like_one_heap(quality.data)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 256])
+    def test_walled_basin(self, monkeypatch, block):
+        monkeypatch.setattr(reconstruct, "_BLOCK", block)
+        wrapped, quality = walled_basin(48, 15)
+        assert_matches_heap_oracle(wrapped, quality)
+        assert_pops_like_one_heap(quality.data)
+
+
+class TestRankTies:
+    """Ranks come from the default sort unless two sorted qualities compare
+    equal.  Each map here has one tie that the row-major order must break
+    and that decides the output; in these draws the default sort of numpy
+    on x86-64 puts the tied pair in the wrong order for some seeds."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_tie_between_far_apart_pixels(self, seed):
+        # the tie is for the highest quality, so it picks the seed
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(0.5, 1.0, (48, 48))
+        q[3, 5] = q[40, 44] = 1.5
+        assert len(np.unique(q)) == q.size - 1
+        w = wrap_to_pi(rng.uniform(-8, 8, q.shape))
+        assert_matches_heap_oracle(PhaseMap(w, wrapped=True), QualityMap(q))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_signed_zero_tie(self, seed):
+        # the corner is reached only through its two neighbors, 0.0 and
+        # -0.0, which pop last; the one popped first is its reference
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(0.5, 1.0, (48, 48))
+        q[0, 1] = 0.0
+        q[1, 0] = -0.0
+        w = wrap_to_pi(rng.uniform(-8, 8, q.shape))
+        assert_matches_heap_oracle(PhaseMap(w, wrapped=True), QualityMap(q))
