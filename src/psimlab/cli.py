@@ -109,22 +109,11 @@ def _load_config(path, cls, **flags):
     return config, digest.hexdigest()[:16]
 
 
-def _write_manifest(out_dir, command, config_hash, seeds, inputs, outputs,
-                    started, timings):
-    manifest = {
-        "command": command,
-        "config_hash": config_hash,
-        "seeds": seeds,
-        "inputs": inputs,
-        "outputs": outputs,
-        "tool_version": __version__,
-        "wall_clock_s": round(time.monotonic() - started, 3),
-        "timings_s": {k: round(v, 3) for k, v in timings.items()},
-    }
-    path = Path(out_dir) / "manifest.json"
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)
+def _manifest(inputs, outputs, timings, config_hash="", seeds=None):
+    """A command's own manifest fields; ``main`` adds the run's."""
+    return {"config_hash": config_hash, "seeds": seeds or {},
+            "inputs": [str(p) for p in inputs], "outputs": outputs,
+            "timings_s": {k: round(v, 3) for k, v in timings.items()}}
 
 
 @contextlib.contextmanager
@@ -147,14 +136,16 @@ def _sample_dirs(data_dir):
     return dirs
 
 
+def _sample_file(sample_dir, name):
+    path = sample_dir / name
+    if not path.exists():
+        raise CliError(EXIT_DATA, f"{sample_dir} has no {name}")
+    return path
+
+
 def _load_stack(sample_dir):
-    frames = []
-    for k in range(1, 6):
-        path = sample_dir / f"frame_{k}.pfm"
-        if not path.exists():
-            raise CliError(EXIT_DATA,
-                           f"stack {sample_dir} is missing frame_{k}.pfm")
-        frames.append(Image(io.read_pfm(path)))
+    frames = [Image(io.read_pfm(_sample_file(sample_dir, f"frame_{k}.pfm")))
+              for k in range(1, 6)]
     meta = io.read_sidecar(sample_dir / "frame_1.pfm")
     try:
         stack = InterferogramStack(
@@ -171,15 +162,11 @@ def _load_dataset(data_dir):
     dataset = []
     for d in _sample_dirs(data_dir):
         stack, _ = _load_stack(d)
-        truth_path = d / "phase_gt.pfm"
-        if not truth_path.exists():
-            raise CliError(EXIT_DATA, f"{d} has no phase_gt.pfm")
-        dataset.append((stack, io.load_phase(truth_path)))
+        dataset.append((stack, io.load_phase(_sample_file(d, "phase_gt.pfm"))))
     return dataset
 
 
 def cmd_simulate(args):
-    started = time.monotonic()
     cfg, cfg_hash = _load_config(args.config, SimulateConfig, seed=args.seed)
 
     timings = {}
@@ -207,14 +194,12 @@ def cmd_simulate(args):
         io.save_phase(d / "phase_gt.pfm", truth,
                       lambda0_nm=cfg.model.source.lambda0, seed=stack.seed)
         outputs.append(str(d))
-    _write_manifest(out, "simulate", cfg_hash, {"master": cfg.seed},
-                    [str(args.config)], outputs, started, timings)
     log.info("wrote %d samples to %s", cfg.count, out)
-    return EXIT_OK
+    return _manifest([args.config], outputs, timings, cfg_hash,
+                     {"master": cfg.seed})
 
 
 def cmd_reconstruct(args):
-    started = time.monotonic()
     samples = _sample_dirs(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -241,13 +226,10 @@ def cmd_reconstruct(args):
                 io.write_sidecar(dest / "height.pfm", role="height",
                                  units="nm", lambda0_nm=lambda0)
         outputs.append(str(dest))
-    _write_manifest(out, "reconstruct", "", {}, [str(args.data)], outputs,
-                    started, timings)
-    return EXIT_OK
+    return _manifest([args.data], outputs, timings)
 
 
 def cmd_train(args):
-    started = time.monotonic()
     cfg, cfg_hash = _load_config(args.config, TrainConfig, steps=args.steps,
                                  seed=args.seed)
     if args.mode and args.mode != cfg.spec.mode:
@@ -294,13 +276,11 @@ def cmd_train(args):
         for i, (ld, lga, lgl1) in enumerate(state.history, start=first):
             fh.write(f"{i},{ld!r},{lga!r},{lgl1!r}\n")
     # a resumed run trains with its checkpoint's seed, not the flag's
-    _write_manifest(out, "train", cfg_hash, {"train": state.seed},
-                    [str(args.data)], [str(ckpt)], started, timings)
-    return EXIT_OK
+    return _manifest([args.data], [str(ckpt)], timings, cfg_hash,
+                     {"train": state.seed})
 
 
 def cmd_infer(args):
-    started = time.monotonic()
     timings = {}
     with _timed(timings, "load"):
         state = load_gan(args.checkpoint)
@@ -312,9 +292,7 @@ def cmd_infer(args):
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     for d in samples:
-        i1_path = d / "frame_1.pfm"
-        if not i1_path.exists():
-            raise CliError(EXIT_DATA, f"{d} has no frame_1.pfm")
+        i1_path = _sample_file(d, "frame_1.pfm")
         with _timed(timings, "io"):
             i1 = Image(io.read_pfm(i1_path))
         dest = out / d.name
@@ -333,13 +311,10 @@ def cmd_infer(args):
             with _timed(timings, "io"):
                 io.save_phase(dest / "phase_pred.pfm", phase, predicted=True)
         outputs.append(str(dest))
-    _write_manifest(out, "infer", "", {}, [str(args.data)], outputs, started,
-                    timings)
-    return EXIT_OK
+    return _manifest([args.data], outputs, timings)
 
 
 def cmd_eval(args):
-    started = time.monotonic()
     samples = _sample_dirs(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -347,9 +322,7 @@ def cmd_eval(args):
     per_sample = []
     timings = {}
     for d in samples:
-        truth_path = d / "phase_gt.pfm"
-        if not truth_path.exists():
-            raise CliError(EXIT_DATA, f"{d} has no phase_gt.pfm")
+        truth_path = _sample_file(d, "phase_gt.pfm")
         with _timed(timings, "io"):
             truth = io.load_phase(truth_path)
         pred_dir = pred_root / d.name
@@ -408,9 +381,7 @@ def cmd_eval(args):
     with _timed(timings, "io"):
         (out / "metrics.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "eval", "", {}, [str(args.data)],
-                    [str(out / "metrics.json")], started, timings)
-    return EXIT_OK
+    return _manifest([args.data], [str(out / "metrics.json")], timings)
 
 
 def build_parser():
@@ -462,7 +433,15 @@ def main(argv=None):
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        started = time.monotonic()
+        manifest = args.func(args)
+        manifest.update(command=args.command, tool_version=__version__,
+                        wall_clock_s=round(time.monotonic() - started, 3))
+        path = Path(args.out) / "manifest.json"
+        tmp = path.with_suffix(".json.tmp")
+        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        tmp.replace(path)
+        return EXIT_OK
     except CliError as exc:
         log.error("%s", exc)
         return exc.code

@@ -249,13 +249,16 @@ def load_gan(path) -> GanState:
     """Restore a state written by ``save_gan``.
 
     A checkpoint that passes its integrity checks but whose meta does not
-    fit ``GanMeta``, or whose parameters are missing or shaped for another
+    fit ``GanMeta`` or whose ``norm_info`` mode is not the spec's, or whose
+    parameters or moments are missing, not finite or shaped for another
     architecture, raises ``CheckpointError``.
     """
     entries, meta = load_checkpoint(path)
     stored = dict(entries)
     try:
         meta = GanMeta(**meta)
+        if meta.norm_info.get("mode", meta.spec.mode) != meta.spec.mode:
+            raise ValueError("norm_info mode differs from the spec's")
         state = init_gan(meta.spec, seed=meta.seed, norm_info=meta.norm_info)
         state.step = meta.step
         state.g_opt.t, state.d_opt.t = meta.g_opt_t, meta.d_opt_t
@@ -263,6 +266,8 @@ def load_gan(path) -> GanState:
             if stored[name].shape != dst.shape:
                 raise ValueError(f"{name} has shape {stored[name].shape}, "
                                  f"expected {dst.shape}")
+            if not np.isfinite(stored[name]).all():
+                raise ValueError(f"{name} is not finite")
             dst[...] = stored[name]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(

@@ -543,6 +543,35 @@ class TestTrainInfer:
         ckpt = self.resaved_checkpoint(sim_dir, tmp_path, edit)
         assert self.run_with_checkpoint(command, ckpt, sim_dir, tmp_path) == 6
 
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    @pytest.mark.parametrize("prefix,value", [
+        ("g_head.", math.nan), ("g_head.", math.inf),
+        ("opt.g.v.", math.nan), ("opt.g.v.", math.inf),
+    ], ids=["nan_weight", "inf_weight", "nan_moment", "inf_moment"])
+    def test_non_finite_checkpoint_array_exits_6(self, command, prefix, value,
+                                                 sim_dir, tmp_path):
+        def poison(entries, meta):
+            i = next(i for i, (n, _) in enumerate(entries)
+                     if n.startswith(prefix))
+            name, array = entries[i]
+            array = array.copy()
+            array.flat[0] = value
+            return entries[:i] + [(name, array)] + entries[i + 1:]
+
+        ckpt = self.resaved_checkpoint(sim_dir, tmp_path, poison)
+        assert self.run_with_checkpoint(command, ckpt, sim_dir, tmp_path) == 6
+
+    @pytest.mark.parametrize("command", ["infer", "train"])
+    def test_norm_info_mode_other_than_spec_exits_6(self, command, sim_dir,
+                                                    tmp_path):
+        def flip_mode(entries, meta):
+            assert meta["norm_info"]["mode"] == meta["spec"]["mode"]
+            meta["norm_info"]["mode"] = "frames"
+            return entries
+
+        ckpt = self.resaved_checkpoint(sim_dir, tmp_path, flip_mode)
+        assert self.run_with_checkpoint(command, ckpt, sim_dir, tmp_path) == 6
+
     def test_too_few_samples_to_split_exits_4(self, tmp_path):
         # ceil(0.8 * 3) == 3 leaves no test sample
         data = simulate(tmp_path / "data", tmp_path, count=3)
@@ -918,6 +947,65 @@ def test_bad_data_dir_exits_without_output(command, data, code, fuzz_root,
     assert main([command, *argv, "--data", str(tmp_path / data),
                  "--out", str(out)]) == code
     assert not out.exists() and not out.parent.exists()
+
+
+def command_argv(command, fuzz_root, sim_dir, tmp_path):
+    """Arguments, but ``--out``, for a small successful run of ``command``."""
+    if command == "simulate":
+        return ["simulate", "--config", write_config(
+            tmp_path / "sim.json", {"count": 1, "width": 16, "height": 16})]
+    if command == "train":
+        return ["train", "--data", str(sim_dir), "--config", write_config(
+            tmp_path / "train.json", {"spec": TINY_SPEC, "steps": 1})]
+    argv = {"reconstruct": [],
+            "infer": ["--checkpoint",
+                      str(fuzz_root / "run" / "checkpoint.ckpt")],
+            "eval": ["--pred", str(fuzz_root / "recon")]}[command]
+    return [command, *argv, "--data", str(fuzz_root / "data")]
+
+
+class TestManifest:
+    TIMINGS = {"simulate": ["simulate"], "reconstruct": ["compute", "io"],
+               "train": ["train"], "infer": ["compute", "io", "load"],
+               "eval": ["compute", "io"]}
+
+    @pytest.mark.parametrize("command", list(TIMINGS))
+    def test_keys_and_stages(self, command, fuzz_root, sim_dir, tmp_path):
+        out = tmp_path / "out"
+        argv = command_argv(command, fuzz_root, sim_dir, tmp_path)
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == sorted([
+            "command", "config_hash", "seeds", "inputs", "outputs",
+            "tool_version", "wall_clock_s", "timings_s"])
+        assert manifest["command"] == command
+        assert sorted(manifest["timings_s"]) == self.TIMINGS[command]
+
+    @pytest.mark.parametrize("command", list(TIMINGS))
+    def test_failed_run_writes_none(self, command, fuzz_root, sim_dir,
+                                    tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = command_argv(command, fuzz_root, sim_dir, tmp_path)
+        # the path after --data (--config for simulate) does not exist
+        argv[argv.index("--config" if command == "simulate" else "--data")
+             + 1] = str(tmp_path / "missing")
+        assert main(argv + ["--out", str(out)]) == 3
+        assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command,name", [
+    ("reconstruct", "frame_5.pfm"), ("train", "phase_gt.pfm"),
+    ("infer", "frame_1.pfm"), ("eval", "phase_gt.pfm")])
+def test_missing_sample_file_exits_4(command, name, fuzz_root, sim_dir,
+                                     tmp_path, caplog):
+    data = tmp_path / "data"
+    shutil.copytree(sim_dir, data)
+    (data / "sample_00000" / name).unlink()
+    argv = command_argv(command, fuzz_root, data, tmp_path)
+    argv[argv.index("--data") + 1] = str(data)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 4
+    assert f"has no {name}" in caplog.text
 
 
 def test_readme_walkthrough_configs_build():
