@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 2 config error, 3 I/O error,
 4 data-shape error (including training data whose side differs from the
-spec's ``image_side``), 5 mode mismatch, 6 checkpoint integrity failure.
+spec's ``image_side``) or a result that is not finite, 5 mode mismatch,
+6 checkpoint integrity failure.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Annotated, Optional
 
 import numpy as np
 
 from . import __version__, io
-from .config import check_fields
+from .config import Range, check_fields
 from .gan import (build_pairs, chain_infer_frames, infer_phase, init_gan,
                   load_gan, rotations_12, save_gan, split_dataset, train)
 from .gan.train import GanSpec
@@ -30,7 +31,7 @@ from .image import Image
 from .metrics import (SsimParams, align_global_offset, foreground_mask,
                       masked_mean_ssim, rms_error, ssim,
                       stitched_line_profile)
-from .nn.checkpoint import CheckpointError
+from .nn import CheckpointError, NumericError
 from .reconstruct import reconstruct_stack
 from .simulate import (DEFAULT_SHIFTS, ForwardModelSpec, InterferogramStack,
                        synth_dataset)
@@ -72,22 +73,15 @@ class SimulateConfig:
 @dataclass
 class TrainConfig:
     spec: GanSpec = field(default_factory=GanSpec)
-    steps: int = 1000
-    seed: int = 0
-    batch_size: int = 1
-    train_fraction: float = 0.8
-    split_seed: int = 0
-    train_count: Optional[int] = None
+    steps: Annotated[int, Range(ge=0)] = 1000
+    seed: Annotated[int, Range(ge=0)] = 0
+    batch_size: Annotated[int, Range(ge=1)] = 1
+    train_fraction: Annotated[float, Range(gt=0, lt=1)] = 0.8
+    split_seed: Annotated[int, Range(ge=0)] = 0
+    train_count: Optional[Annotated[int, Range(ge=1)]] = None
     augment: bool = False
 
-    def __post_init__(self):
-        # a train_count or train_fraction no dataset fits is a config error
-        check_fields(self)
-        if min(self.steps, self.seed, self.split_seed) < 0 or \
-                self.batch_size < 1 or not 0 < self.train_fraction < 1 or \
-                self.train_count is not None and self.train_count < 1:
-            raise ValueError("need steps and seeds >= 0, batch_size and "
-                             "train_count >= 1, 0 < train_fraction < 1")
+    __post_init__ = check_fields
 
 
 def _load_config(path, cls, **flags):
@@ -451,6 +445,9 @@ def main(argv=None):
     except OSError as exc:
         log.error("I/O failure: %s", exc)
         return EXIT_IO
+    except NumericError as exc:  # a diverging run, or huge weights
+        log.error("result is not finite: %s", exc)
+        return EXIT_DATA
     except ValueError as exc:
         log.error("bad input data: %s", exc)
         return EXIT_DATA

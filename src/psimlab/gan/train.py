@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import Annotated, Literal
 
 import numpy as np
 
-from ..config import check_fields
+from ..config import Range, check_fields
 from ..image import Image, PhaseMap
 from ..nn.adam import AdamState, adam_step
 from ..nn.checkpoint import (CheckpointError, load_checkpoint,
@@ -19,26 +20,21 @@ from .models import PatchDiscriminator, UNetGenerator
 
 @dataclass
 class GanSpec:
-    mode: str = "phase"  # "frames" or "phase"
-    depth: int = 4
-    base: int = 16
+    mode: Literal["phase", "frames"] = "phase"
+    depth: Annotated[int, Range(ge=1)] = 4
+    base: Annotated[int, Range(ge=1)] = 16
     skips: bool = True
-    disc_blocks: int = 3
-    disc_base: int = 16
-    lambda_l1: float = 100.0
-    image_side: int = 64
-    lr: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
+    disc_blocks: Annotated[int, Range(ge=1)] = 3
+    disc_base: Annotated[int, Range(ge=1)] = 16
+    lambda_l1: Annotated[float, Range(ge=0)] = 100.0
+    image_side: Annotated[int, Range(ge=1)] = 64
+    lr: Annotated[float, Range(ge=0)] = 2e-4
+    # at beta = 1 Adam's bias correction 1 - beta**t is zero
+    beta1: Annotated[float, Range(ge=0, lt=1)] = 0.5
+    beta2: Annotated[float, Range(ge=0, lt=1)] = 0.999
 
     def __post_init__(self):
         check_fields(self)
-        if self.mode not in ("frames", "phase"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if min(self.depth, self.base, self.disc_blocks, self.disc_base,
-               self.image_side) < 1 or self.lambda_l1 < 0:
-            raise ValueError("depth, base, disc_blocks, disc_base and "
-                             "image_side must be >= 1, lambda_l1 >= 0")
         if self.image_side % (2 ** self.depth) != 0:
             raise ValueError("image side must be divisible by 2^depth")
 
@@ -48,16 +44,13 @@ class GanMeta:
     """The ``meta`` of a GAN checkpoint."""
 
     spec: GanSpec
-    step: int
+    step: Annotated[int, Range(ge=0)]
     seed: int
     norm_info: NormInfo
-    g_opt_t: int
-    d_opt_t: int
+    g_opt_t: Annotated[int, Range(ge=0)]
+    d_opt_t: Annotated[int, Range(ge=0)]
 
-    def __post_init__(self):
-        check_fields(self)
-        if min(self.step, self.g_opt_t, self.d_opt_t) < 0:
-            raise ValueError("step and optimizer steps must be >= 0")
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 from scipy.ndimage import correlate1d
 
+from .config import Range, check_fields
 from .image import PhaseMap
 from .simulate import InterferogramStack
 
@@ -29,15 +31,11 @@ def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
 class SsimParams:
     window_size: int = 11
     sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float = 1.0
+    k1: Annotated[float, Range(gt=0)] = 0.01
+    k2: Annotated[float, Range(gt=0)] = 0.03
+    dynamic_range: Annotated[float, Range(gt=0)] = 1.0
 
-    def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("k1 and k2 must be positive")
-        if self.dynamic_range <= 0:
-            raise ValueError("dynamic range must be positive")
+    __post_init__ = check_fields
 
 
 @dataclass

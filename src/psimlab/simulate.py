@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Annotated, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import check_fields
+from .config import Range, check_fields
 from .image import Image, PhaseMap
 
 DEFAULT_SHIFTS = (-math.pi, -math.pi / 2.0, 0.0, math.pi / 2.0, math.pi)
@@ -32,13 +32,10 @@ DEFAULT_SHIFTS = (-math.pi, -math.pi / 2.0, 0.0, math.pi / 2.0, math.pi)
 class SourceSpec:
     """Filtered broadband source: center wavelength and full spectral width, nm."""
 
-    lambda0: float = 520.0
-    delta_lambda: float = 72.0
+    lambda0: Annotated[float, Range(gt=0)] = 520.0
+    delta_lambda: Annotated[float, Range(gt=0)] = 72.0
 
-    def __post_init__(self):
-        check_fields(self)
-        if self.lambda0 <= 0 or self.delta_lambda <= 0:
-            raise ValueError("lambda0 and delta_lambda must be positive")
+    __post_init__ = check_fields
 
     @property
     def coherence_length(self) -> float:
@@ -59,27 +56,15 @@ class PhaseObjectSpec:
         (row, col, radius_px, peak_height_nm), sigma = radius.
     """
 
-    kind: str = "flat"
+    kind: Literal["flat", "waveguide_ridge", "cell_blobs"] = "flat"
     ridge_center: float = 0.0
-    ridge_width: float = 1.0
-    ridge_height: float = 0.0
+    ridge_width: Annotated[float, Range(ge=1)] = 1.0
+    ridge_height: Annotated[float, Range(ge=0)] = 0.0
     edge_width: float = 4.0
-    blobs: Sequence[tuple] = field(default_factory=list)
+    blobs: Sequence[Tuple[float, float, Annotated[float, Range(ge=1)],
+                          Annotated[float, Range(ge=0)]]] = ()
 
-    def __post_init__(self):
-        if self.kind not in ("flat", "waveguide_ridge", "cell_blobs"):
-            raise ValueError(f"unknown object kind {self.kind!r}")
-        if self.kind == "waveguide_ridge":
-            if self.ridge_width < 1:
-                raise ValueError("ridge width must be >= 1 px")
-            if self.ridge_height < 0:
-                raise ValueError("ridge height must be >= 0")
-        for blob in self.blobs:
-            _, _, radius, peak = blob
-            if radius < 1:
-                raise ValueError("blob radius must be >= 1 px")
-            if peak < 0:
-                raise ValueError("blob peak height must be >= 0")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -87,19 +72,15 @@ class ForwardModelSpec:
     """Interference model parameters for one acquisition."""
 
     source: SourceSpec = field(default_factory=SourceSpec)
-    i_object: float = 1.0
-    i_reference: float = 1.0
+    i_object: Annotated[float, Range(gt=0)] = 1.0
+    i_reference: Annotated[float, Range(gt=0)] = 1.0
     shift_schedule: Sequence[float] = DEFAULT_SHIFTS
-    jitter_sigma: float = 0.0
-    noise_sigma: float = 0.0
+    jitter_sigma: Annotated[float, Range(ge=0)] = 0.0
+    noise_sigma: Annotated[float, Range(ge=0)] = 0.0
     envelope_reference_opd: float = 0.0
 
     def __post_init__(self):
         check_fields(self)
-        if self.i_object <= 0 or self.i_reference <= 0:
-            raise ValueError("beam intensities must be positive")
-        if self.jitter_sigma < 0 or self.noise_sigma < 0:
-            raise ValueError("noise parameters must be >= 0")
         self.shift_schedule = tuple(float(s) for s in self.shift_schedule)
         if len(self.shift_schedule) != 5:
             raise ValueError("shift schedule must have exactly 5 entries")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from psimlab import ForwardModelSpec, PhaseMap, io
 from psimlab.cli import (SimulateConfig, TrainConfig, _load_dataset,
                          build_parser, main)
+from psimlab.config import Range
 from psimlab.gan import (GanSpec, build_pairs, load_gan, split_dataset,
                          train)
 from psimlab.gan.data import NormInfo
@@ -1031,3 +1032,181 @@ def test_readme_config_tables_list_every_field():
         keys = {key for row in table.splitlines()[2:]
                 for key in re.findall(r"`(\w+)`", row.split("|")[1])}
         assert keys == set(typing.get_type_hints(cls)), heading
+
+
+def declared_ranges(kind):
+    """Every ``Range`` in an annotation, nested ones included."""
+    if isinstance(kind, Range):
+        yield kind
+    for arg in typing.get_args(kind):
+        yield from declared_ranges(arg)
+
+
+def readme_form(bound):
+    """A ``Range`` as the README tables write it: ``>= 1``, ``> 0``,
+    ``in (0, 1)`` or ``in [0, 1)``."""
+    ends = [(op, value) for op, value in zip((">=", ">", "<=", "<"), bound)
+            if value is not None]
+    if len(ends) == 1:
+        return "%s %s" % ends[0]
+    (low, a), (high, b) = ends
+    return (f"in {'[' if low == '>=' else '('}{a}, "
+            f"{b}{']' if high == '<=' else ')'}")
+
+
+def test_readme_config_tables_state_every_declared_range():
+    """Each ``Range`` a config field declares is written in that field's
+    README row, so the tables cannot drift from the annotations."""
+    text = (ROOT / "README.md").read_text()
+    checked = 0
+    for heading, cls in (("`simulate` config:", SimulateConfig),
+                         ("`model` object:", ForwardModelSpec),
+                         ("`train` config:", TrainConfig),
+                         ("`spec` object", GanSpec)):
+        table = text.split(heading, 1)[1].split("\n\n", 2)[1]
+        rows = {key: row.split("|")[2] for row in table.splitlines()[2:]
+                for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+        hints = typing.get_type_hints(cls, include_extras=True)
+        for name, kind in hints.items():
+            for bound in declared_ranges(kind):
+                assert readme_form(bound) in rows[name], (heading, name)
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("key,value,code", [
+    ("beta1", 1.0, 2), ("beta2", 1.0, 2), ("beta2", -0.5, 2),
+    ("beta1", 1.5, 2), ("lr", -1.0, 2), ("beta1", 0.0, 0)])
+def test_adam_setting_outside_its_range_exits_2(key, value, code, sim_dir,
+                                                tmp_path, caplog):
+    # without the ranges the first three diverge and the last two train
+    config = write_config(tmp_path / "c.json",
+                          {"spec": dict(TINY_SPEC, **{key: value}),
+                           "steps": 2})
+    out = tmp_path / "o"
+    assert main(["train", "--config", config, "--data", str(sim_dir),
+                 "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:
+        assert f"GanSpec.{key} = {value!r} is not of type " \
+               "Annotated[float, Range(ge=0" in caplog.text
+
+
+def resaved(ckpt, dest, edit):
+    """``ckpt`` saved to ``dest`` with ``edit(entries, meta)`` applied."""
+    entries, meta = load_checkpoint(ckpt)
+    save_checkpoint(dest, edit(entries, meta), meta)
+    return str(dest)
+
+
+@pytest.mark.parametrize("command", ["infer", "train"])
+def test_checkpoint_spec_outside_its_range_exits_6(command, fuzz_root,
+                                                   sim_dir, tmp_path, caplog):
+    def beta1_of_1(entries, meta):
+        meta["spec"]["beta1"] = 1.0
+        return entries
+
+    ckpt = resaved(fuzz_root / "run" / "checkpoint.ckpt",
+                   tmp_path / "c.ckpt", beta1_of_1)
+    argv = [command, "--checkpoint", ckpt, "--data", str(sim_dir),
+            "--out", str(tmp_path / "o")]
+    if command == "train":
+        argv += ["--config", write_config(tmp_path / "t.json",
+                                          {"spec": TINY_SPEC, "steps": 1})]
+    assert main(argv) == 6
+    assert "GanSpec.beta1 = 1.0" in caplog.text
+
+
+class TestNonFiniteResultExits4:
+    """A computation whose result is not finite is exit 4, and the run
+    writes no manifest."""
+
+    def test_diverging_training_run(self, sim_dir, tmp_path, caplog):
+        config = write_config(tmp_path / "c.json", {
+            "spec": dict(TINY_SPEC, lr=1e308), "steps": 5})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["train", "--config", config, "--data", str(sim_dir),
+                         "--out", str(out)]) == 4
+        assert not out.exists()
+        assert "result is not finite" in caplog.text
+
+    def test_inference_on_huge_weights(self, fuzz_root, sim_dir, tmp_path):
+        def huge(entries, meta):
+            return [(name, array if name.startswith(("opt.", "d."))
+                     else np.full_like(array, 1e200))
+                    for name, array in entries]
+
+        ckpt = resaved(fuzz_root / "run" / "checkpoint.ckpt",
+                       tmp_path / "c.ckpt", huge)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["infer", "--checkpoint", ckpt, "--data",
+                         str(sim_dir), "--out", str(out)]) == 4
+        assert not (out / "manifest.json").exists()
+
+    def test_generator_loss_check(self, sim_dir, tmp_path, caplog):
+        # frames-mode targets are not clipped: resumed on frames 1000 times
+        # brighter than the checkpoint's intensity range, lambda_l1 times
+        # their L1 error overflows
+        dim = simulate(tmp_path / "dim", tmp_path, model={
+            "i_object": 0.001, "i_reference": 0.001})
+        config = write_config(tmp_path / "c.json", {
+            "spec": dict(TINY_SPEC, mode="frames", lambda_l1=1e308),
+            "steps": 0})
+        run = tmp_path / "run"
+        assert main(["train", "--config", config, "--data", str(dim),
+                     "--out", str(run)]) == 0
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["train", "--config", config, "--steps", "2",
+                         "--checkpoint", str(run / "checkpoint.ckpt"),
+                         "--data", str(sim_dir), "--out", str(out)]) == 4
+        assert not out.exists()
+        assert "generator loss is not finite at step 0" in caplog.text
+
+
+def test_augmented_training_runs(sim_dir, tmp_path):
+    runs = {}
+    for augment in (False, True):
+        config = write_config(tmp_path / "c.json", {
+            "spec": TINY_SPEC, "steps": 2, "augment": augment})
+        out = tmp_path / f"augment_{augment}"
+        assert main(["train", "--config", config, "--data", str(sim_dir),
+                     "--out", str(out)]) == 0
+        assert len((out / "loss.csv").read_text().splitlines()) == 3
+        runs[augment] = (out / "checkpoint.ckpt").read_bytes()
+    # the 12 rotations change which pairs the seeded order draws
+    assert runs[True] != runs[False]
+
+
+def test_eval_scores_each_hop_of_predicted_frames(sim_dir, tmp_path):
+    config = write_config(tmp_path / "c.json", {
+        "spec": dict(TINY_SPEC, mode="frames"), "steps": 1})
+    run, pred, report = tmp_path / "run", tmp_path / "pred", tmp_path / "rep"
+    assert main(["train", "--config", config, "--data", str(sim_dir),
+                 "--out", str(run)]) == 0
+    assert main(["infer", "--checkpoint", str(run / "checkpoint.ckpt"),
+                 "--data", str(sim_dir), "--out", str(pred)]) == 0
+    assert main(["reconstruct", "--data", str(pred), "--out", str(pred)]) == 0
+    assert main(["eval", "--data", str(sim_dir), "--pred", str(pred),
+                 "--out", str(report)]) == 0
+    per_image = json.loads((report / "metrics.json").read_text())["per_image"]
+    assert len(per_image) == 5
+    for entry in per_image:
+        assert len(entry["hop_l1"]) == 4
+        assert all(math.isfinite(v) and v >= 0 for v in entry["hop_l1"])
+
+
+def test_resume_from_checkpoint_of_other_mode_exits_5(fuzz_root, sim_dir,
+                                                      tmp_path):
+    config = write_config(tmp_path / "c.json", {
+        "spec": dict(TINY_SPEC, mode="frames"), "steps": 1})
+    out = tmp_path / "o"
+    assert main(["train", "--config", config,
+                 "--checkpoint", str(fuzz_root / "run" / "checkpoint.ckpt"),
+                 "--data", str(sim_dir), "--out", str(out)]) == 5
+    assert not out.exists()
