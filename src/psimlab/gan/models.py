@@ -101,7 +101,7 @@ class UNetGenerator(Sequential):
             if g is None:  # the input's own gradient, not asked for
                 return None
             if self.skips:
-                g = g + skip_grads[k]
+                g += skip_grads[k]
         return g
 
 

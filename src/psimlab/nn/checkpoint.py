@@ -19,20 +19,25 @@ class CheckpointError(RuntimeError):
 
 
 def save_checkpoint(path, params, meta=None):
-    """``params`` is a list of (name, float64 array) in declaration order."""
-    blob = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes()
-                    for _, p in params)
+    """``params`` is a list of (name, float64 array) in declaration order.
+
+    The blob is hashed and written one array at a time, never joined."""
+    arrays = [np.ascontiguousarray(p, dtype="<f8") for _, p in params]
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(arr)
     header = {
         "format": "psimlab-checkpoint-v1",
         "params": [{"name": n, "shape": list(p.shape)} for n, p in params],
-        "blob_sha256": hashlib.sha256(blob).hexdigest(),
+        "blob_sha256": digest.hexdigest(),
         "meta": meta or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(len(header_bytes).to_bytes(8, "little"))
         fh.write(header_bytes)
-        fh.write(blob)
+        for arr in arrays:
+            fh.write(arr)
 
 
 def load_checkpoint(path):

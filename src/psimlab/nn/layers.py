@@ -1,8 +1,10 @@
 """Stateful layer objects wrapping the functional ops.
 
-Each layer caches what its backward pass needs; ``parameters()`` /
-``gradients()`` expose (name, array) pairs in declaration order, which is
-also the checkpoint serialization order.
+Each layer caches what its backward pass needs and no more: a conv its
+input, padded once in the forward for both passes; an activation the 1-byte
+mask of where its input is positive; tanh and sigmoid their output.
+``parameters()`` / ``gradients()`` expose (name, array) pairs in
+declaration order, which is also the checkpoint serialization order.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ class Layer:
 
 
 class _Conv(Layer):
-    """Body shared by ``Conv2d`` and ``ConvTranspose2d``.  Kernels are looked
-    up in ``ops`` at call time, so wrappers installed there see every call."""
+    """Parameters and naming shared by ``Conv2d`` and ``ConvTranspose2d``.
+    Both look their kernels up in ``ops`` at call time, so wrappers
+    installed there see every call."""
 
     transposed = False
     params = ("w", "b")
@@ -67,40 +70,50 @@ class _Conv(Layer):
         prefix = "convT" if self.transposed else "conv"
         self.name = f"{prefix}{kernel}x{kernel}s{stride}_{in_ch}to{out_ch}"
 
-    def forward(self, x):
-        self.x = x
-        op = (ops.conv_transpose2d_forward if self.transposed
-              else ops.conv2d_forward)
-        y = op(x, self.w, self.b, self.stride, self.padding)
-        return check_finite(y, self.name)
-
-    def backward(self, grad_y, params=True, inputs=True):
-        # the public backward ops return all three gradients; a partial
-        # backward of a plain conv asks conv_grads for the ones it needs
-        if params and inputs:
-            op = (ops.conv_transpose2d_backward if self.transposed
-                  else ops.conv2d_backward)
-            gx, gw, gb = op(self.x, self.w, grad_y, self.stride,
-                            self.padding)
-        elif self.transposed:
-            raise ValueError(f"{self.name} has only the full backward")
-        else:
-            gx, gw, gb = ops.conv_grads(self.x, self.w, grad_y, self.stride,
-                                        self.padding, params, inputs)
-        if params:
-            self.gw += gw
-            self.gb += gb
-        return gx
-
 
 class Conv2d(_Conv):
     """Cross-correlation; weight layout (out, in, kh, kw)."""
+
+    def forward(self, x):
+        # padded once: the backward reads the same padded input
+        self.x = ops._pad(x, self.padding, self.padding)
+        y = ops.conv2d_forward(self.x, self.w, self.b, self.stride, 0)
+        return check_finite(y, self.name)
+
+    def backward(self, grad_y, params=True, inputs=True):
+        # the public backward op returns all three gradients; a partial
+        # backward asks conv_grads for the ones it needs
+        if params and inputs:
+            gx, gw, gb = ops.conv2d_backward(self.x, self.w, grad_y,
+                                             self.stride, 0)
+        else:
+            gx, gw, gb = ops.conv_grads(self.x, self.w, grad_y, self.stride,
+                                        0, params, inputs)
+        if params:
+            self.gw += gw
+            self.gb += gb
+        return None if gx is None else ops._crop(gx, self.padding)
 
 
 class ConvTranspose2d(_Conv):
     """Adjoint of ``Conv2d``; weight layout (in, out, kh, kw)."""
 
     transposed = True
+
+    def forward(self, x):
+        self.x = x
+        y = ops.conv_transpose2d_forward(x, self.w, self.b, self.stride,
+                                         self.padding)
+        return check_finite(y, self.name)
+
+    def backward(self, grad_y, params=True, inputs=True):
+        if not (params and inputs):
+            raise ValueError(f"{self.name} has only the full backward")
+        gx, gw, gb = ops.conv_transpose2d_backward(self.x, self.w, grad_y,
+                                                   self.stride, self.padding)
+        self.gw += gw
+        self.gb += gb
+        return gx
 
 
 class InstanceNorm(Layer):
@@ -134,22 +147,22 @@ class LeakyReLU(Layer):
         self.alpha = alpha
 
     def forward(self, x):
-        self.x = x
+        self.positive = x >= 0
         return ops.leaky_relu_forward(x, self.alpha)
 
     def backward(self, grad_y, params=True, inputs=True):
-        return ops.leaky_relu_backward(self.x, grad_y, self.alpha)
+        return ops.leaky_relu_backward(self.positive, grad_y, self.alpha)
 
 
 class ReLU(Layer):
     name = "relu"
 
     def forward(self, x):
-        self.x = x
+        self.positive = x > 0
         return ops.relu_forward(x)
 
     def backward(self, grad_y, params=True, inputs=True):
-        return ops.relu_backward(self.x, grad_y)
+        return ops.relu_backward(self.positive, grad_y)
 
 
 class Tanh(Layer):

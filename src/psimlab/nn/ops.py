@@ -36,7 +36,9 @@ frozen network.
 
 Padding, LeakyReLU and the instance-norm forward make fewer full-array
 passes and temporaries than their textbook formulas, with bitwise the same
-values.
+values.  The LeakyReLU and ReLU backwards take the 1-byte mask of where the
+forward's input is positive, in place of the input, and apply it without a
+data-dependent branch.
 """
 
 from __future__ import annotations
@@ -267,16 +269,28 @@ def leaky_relu_forward(x, alpha=0.2):
     return np.maximum(x, alpha * x)
 
 
-def leaky_relu_backward(x, grad_y, alpha=0.2):
-    return np.where(x >= 0, grad_y, alpha * grad_y)
+def leaky_relu_backward(positive, grad_y, alpha=0.2):
+    """``np.where(positive, grad_y, alpha * grad_y)`` from the bool mask
+    ``positive`` (x >= 0), as ``grad_y`` times the multiplier 1.0 or alpha:
+    for 0 <= alpha <= 1, (1 - alpha) + alpha rounds to exactly 1.0, so the
+    product is bitwise ``grad_y`` or ``alpha * grad_y`` without a branch."""
+    m = positive.astype(np.float64)
+    m *= 1.0 - alpha
+    m += alpha
+    m *= grad_y
+    return m
 
 
 def relu_forward(x):
     return np.maximum(x, 0.0)
 
 
-def relu_backward(x, grad_y):
-    return np.where(x > 0, grad_y, 0.0)
+def relu_backward(positive, grad_y):
+    """``np.where(positive, grad_y, 0.0)`` from the bool mask ``positive``
+    (x > 0): the bits of ``grad_y`` AND all ones or all zeros."""
+    bits = -positive.astype(np.uint64)
+    bits &= grad_y.view(np.uint64)
+    return bits.view(np.float64)
 
 
 def tanh_forward(x):

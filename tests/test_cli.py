@@ -1168,6 +1168,21 @@ class TestNonFiniteResultExits4:
         assert not out.exists()
         assert "generator loss is not finite at step 0" in caplog.text
 
+    def test_adam_second_moment_overflow(self, sim_dir, tmp_path, caplog):
+        # lambda_l1 near the float64 maximum leaves the losses finite but
+        # squares gradients past it: an infinite second moment would stop
+        # its weights learning without a word
+        config = write_config(tmp_path / "c.json", {
+            "spec": dict(TINY_SPEC, lambda_l1=1e308), "steps": 3,
+            "batch_size": 2})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", config, "--data", str(sim_dir),
+                         "--out", str(out)]) == 4
+        assert not out.exists()
+        assert "Adam second moment" in caplog.text
+
 
 def test_augmented_training_runs(sim_dir, tmp_path):
     runs = {}

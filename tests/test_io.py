@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -129,6 +130,30 @@ class TestCheckpoint:
         path.write_bytes(mangle(path.read_bytes()))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_bytes_equal_the_joined_blob_writer(self, tmp_path):
+        def joined(path, params, meta):
+            blob = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes()
+                            for _, p in params)
+            header = json.dumps({
+                "format": "psimlab-checkpoint-v1",
+                "params": [{"name": n, "shape": list(p.shape)}
+                           for n, p in params],
+                "blob_sha256": hashlib.sha256(blob).hexdigest(),
+                "meta": meta}, sort_keys=True).encode("utf-8")
+            path.write_bytes(len(header).to_bytes(8, "little") + header + blob)
+
+        rng = np.random.default_rng(1)
+        params = self.params() + [
+            ("scalar", np.array(-0.0)),
+            ("transposed", rng.normal(size=(3, 4)).T),
+            ("strided", rng.normal(size=(4, 6))[:, ::2]),
+            ("single", rng.normal(size=5).astype(np.float32)),
+            ("empty", np.zeros((0, 3)))]
+        save_checkpoint(tmp_path / "a.ckpt", params, {"k": 1})
+        joined(tmp_path / "b.ckpt", params, {"k": 1})
+        assert (tmp_path / "a.ckpt").read_bytes() == \
+            (tmp_path / "b.ckpt").read_bytes()
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

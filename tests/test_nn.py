@@ -534,6 +534,83 @@ class TestActivations:
         assert rel.max() < 1e-6
 
 
+class TestMaskBackwards:
+    """The activation backwards read a bool mask and are bitwise the
+    ``np.where`` they replaced, special values included."""
+
+    SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.0,
+               1e308, -1e308, np.inf, -np.inf, np.nan)
+
+    def probe(self):
+        # every (x, grad_y) pair of special values, then random pairs
+        s = np.array(self.SPECIAL)
+        x, g = (a.ravel() for a in np.meshgrid(s, s))
+        rng = np.random.default_rng(4)
+        x = np.concatenate([x, rng.normal(size=231)]).reshape(2, 4, 5, 10)
+        g = np.concatenate([g, rng.normal(size=231)]).reshape(2, 4, 5, 10)
+        return x, g
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.2, 0.5, 0.99])
+    def test_leaky_relu_backward(self, alpha):
+        x, g = self.probe()
+        with np.errstate(invalid="ignore"):  # 0 * inf at alpha = 0
+            ref = np.where(x >= 0, g, alpha * g)
+            out = ops.leaky_relu_backward(x >= 0, g, alpha)
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("split", [False, True], ids=["whole", "view"])
+    def test_relu_backward(self, split):
+        x, g = self.probe()
+        if split:  # a skip split's strided channel view
+            x, g = x[:, 1:], g[:, 1:]
+        ref = np.where(x > 0, g, 0.0)
+        assert ops.relu_backward(x > 0, g).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("layer", [LeakyReLU(0.2), ReLU()])
+    def test_layer_caches_only_a_bool_mask(self, layer):
+        x = np.random.default_rng(5).normal(size=(2, 3, 4, 4))
+        layer.forward(x)
+        cached = [v for v in vars(layer).values()
+                  if isinstance(v, np.ndarray)]
+        assert [a.dtype for a in cached] == [np.bool_]
+
+
+class TestConvLayerPadsOnce:
+    """``Conv2d`` pads its input once and runs the ops at padding 0; every
+    result is bitwise the ops' own with ``padding`` on the unpadded input."""
+
+    @pytest.mark.parametrize("in_ch,out_ch,k,stride", [(3, 4, 4, 2),
+                                                       (17, 1, 3, 1)],
+                             ids=["stride2", "thin_head"])
+    def test_matches_the_padding_ops(self, in_ch, out_ch, k, stride):
+        rng = np.random.default_rng(14)
+        layer = Conv2d(in_ch, out_ch, k, stride=stride, padding=1, rng=rng)
+        layer.b[:] = rng.normal(size=out_ch)
+        w, b = layer.w, layer.b
+        x = rng.normal(size=(3, in_ch, 8, 8))
+        y = layer.forward(x)
+        assert y.tobytes() == ops.conv2d_forward(x, w, b, stride, 1).tobytes()
+        gy = rng.normal(size=y.shape)
+        for flags in ({}, {"params": False}, {"inputs": False}):
+            ref = ops.conv_grads(x, w, gy, stride, 1, **flags)
+            if not flags:
+                full = ops.conv2d_backward(x, w, gy, stride, 1)
+                assert [a.tobytes() for a in full] == \
+                    [a.tobytes() for a in ref]
+            layer.zero_grad()
+            gx = layer.backward(gy, **flags)
+            if ref[0] is None:
+                assert gx is None
+            else:
+                assert gx.shape == x.shape
+                assert gx.tobytes() == ref[0].tobytes()
+            if ref[1] is None:
+                assert not layer.gw.any() and not layer.gb.any()
+            else:
+                assert layer.gw.tobytes() == ref[1].tobytes()
+                assert layer.gb.tobytes() == ref[2].tobytes()
+
+
 class TestInstanceNorm:
     def test_constant_input_returns_shift(self):
         layer = InstanceNorm(2)
@@ -607,6 +684,46 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             adam_step([("p", np.zeros(2))], [("p", np.zeros(3))], AdamState())
+
+
+def textbook_adam(params, grads, state):
+    """``adam_step`` as written before its in-place form."""
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    for (name, p), (_, g) in zip(params, grads):
+        m = state.m.setdefault(name, np.zeros_like(p))
+        v = state.v.setdefault(name, np.zeros_like(p))
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        if state.lr != 0.0:
+            p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+@pytest.mark.parametrize("lr", [0.0, 2e-4, 0.05])
+def test_adam_step_is_bitwise_the_textbook_formula(lr):
+    # the largest parameter is not first, so the scratch buffer is sliced
+    shapes = {"a.w": (3, 2, 4, 4), "a.b": (3,), "b.w": (5, 3, 4, 4)}
+    rng = np.random.default_rng(15)
+    grads = []
+    for k in range(5):
+        g = {n: rng.normal(scale=10.0 ** (k - 2), size=s)
+             for n, s in shapes.items()}
+        g["a.b"][:] = (-0.0, 0.0, -1e-300)
+        g["b.w"].flat[:3] = (-0.0, -5e-324, 1e150)
+        grads.append(list(g.items()))
+    runs = []
+    for step in (adam_step, textbook_adam):
+        params = {n: np.random.default_rng(16).normal(size=s)
+                  for n, s in shapes.items()}
+        state = AdamState(lr=lr, beta1=0.5, beta2=0.999)
+        for g in grads:
+            step(list(params.items()), g, state)
+        runs.append([a.tobytes() for d in (params, state.m, state.v)
+                     for a in d.values()])
+    assert runs[0] == runs[1]
 
 
 class TestGradCheck:
