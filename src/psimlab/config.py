@@ -44,8 +44,8 @@ def _fits(value, kind):
     if origin is typing.Annotated:  # the type, then each declared range
         return _fits(value, args[0]) and all(
             value in arg for arg in args[1:] if isinstance(arg, Range))
-    if origin is typing.Literal:
-        return value in args
+    if origin is typing.Literal:  # the type too, since 1 == 1.0 == True
+        return any(type(value) is type(arg) and value == arg for arg in args)
     if origin is typing.Union:
         return any(_fits(value, arg) for arg in args)
     if origin is collections.abc.Sequence:

@@ -27,10 +27,9 @@ def _tag_names(block: Sequential, tag: str):
 
 
 class UNetGenerator(Sequential):
-    def __init__(self, depth=4, base=16, skips=True, rng=None):
+    def __init__(self, depth=4, base=16, rng=None):
         rng = rng or np.random.default_rng(0)
         self.depth = depth
-        self.skips = skips
 
         down_out = [min(base * 2 ** k, base * 8) for k in range(depth)]
         act_ch = [1] + down_out  # channels of acts[0..depth]
@@ -53,9 +52,7 @@ class UNetGenerator(Sequential):
             if k == depth - 1:
                 up_in = down_out[depth - 1]
             else:
-                up_in = self.up_out[k + 1]
-                if skips:
-                    up_in += act_ch[k + 1]
+                up_in = self.up_out[k + 1] + act_ch[k + 1]
             seq = Sequential(
                 ConvTranspose2d(up_in, self.up_out[k], 4, stride=2, padding=1,
                                 rng=rng, bias=False),
@@ -64,7 +61,7 @@ class UNetGenerator(Sequential):
             _tag_names(seq, f"up{k}")
             self.ups.append(seq)
 
-        head_in = self.up_out[0] + (act_ch[0] if skips else 0)
+        head_in = self.up_out[0] + act_ch[0]
         self.head = Sequential(
             Conv2d(head_in, 1, 3, stride=1, padding=1, rng=rng),
             Tanh())
@@ -83,32 +80,26 @@ class UNetGenerator(Sequential):
         u = acts[self.depth]
         for k in range(self.depth - 1, -1, -1):
             u = self.ups[k].forward(u)
-            if self.skips:
-                u = np.concatenate([u, acts[k]], axis=1)
+            u = np.concatenate([u, acts[k]], axis=1)
         return self.head.forward(u)
 
     def backward(self, grad_y, inputs=True):
         g = self.head.backward(grad_y)
         skip_grads = {}
         for k in range(self.depth):
-            if self.skips:
-                split = self.up_out[k]
-                skip_grads[k] = g[:, split:]
-                g = g[:, :split]
-            g = self.ups[k].backward(g)
+            skip_grads[k] = g[:, self.up_out[k]:]
+            g = self.ups[k].backward(g[:, :self.up_out[k]])
         for k in range(self.depth - 1, -1, -1):
             g = self.downs[k].backward(g, inputs=inputs or k > 0)
             if g is None:  # the input's own gradient, not asked for
                 return None
-            if self.skips:
-                g += skip_grads[k]
+            g += skip_grads[k]
         return g
 
 
 class PatchDiscriminator(Sequential):
     def __init__(self, blocks=3, base=16, rng=None):
         rng = rng or np.random.default_rng(0)
-        self.blocks = blocks
         layers = []
         ch = 2  # the (condition, candidate) pair
         for k in range(blocks):
@@ -120,21 +111,20 @@ class PatchDiscriminator(Sequential):
             layers.append(LeakyReLU(0.2))
             ch = out
         layers.append(Conv2d(ch, 1, 3, stride=1, padding=1, rng=rng))
-        self.net = Sequential(*layers)
-        _tag_names(self.net, "d")
-        self.layers = [self.net]
+        super().__init__(*layers)
+        _tag_names(self, "d")
 
     def forward(self, condition, candidate):
         """Patch logits for a (condition, candidate) image pair."""
         if condition.shape != candidate.shape:
             raise ValueError("condition and candidate must share shape")
         x = np.concatenate([condition, candidate], axis=1)
-        return self.net.forward(x)
+        return super().forward(x)
 
     def backward(self, grad_logits, params=True, inputs=True):
         """Returns (grad wrt condition, grad wrt candidate), or None when
         ``inputs`` is False."""
-        g = self.net.backward(grad_logits, params, inputs)
+        g = super().backward(grad_logits, params, inputs)
         if g is None:
             return None
         half = g.shape[1] // 2

@@ -23,7 +23,9 @@ class GanSpec:
     mode: Literal["phase", "frames"] = "phase"
     depth: Annotated[int, Range(ge=1)] = 4
     base: Annotated[int, Range(ge=1)] = 16
-    skips: bool = True
+    # the U-Net always has its skips; the key stays so that old configs
+    # and checkpoints still read
+    skips: Literal[True] = True
     disc_blocks: Annotated[int, Range(ge=1)] = 3
     disc_base: Annotated[int, Range(ge=1)] = 16
     lambda_l1: Annotated[float, Range(ge=0)] = 100.0
@@ -68,8 +70,7 @@ class GanState:
 
 def init_gan(spec: GanSpec, seed: int = 0, norm_info=None) -> GanState:
     rng = np.random.default_rng(seed)
-    gen = UNetGenerator(depth=spec.depth, base=spec.base, skips=spec.skips,
-                        rng=rng)
+    gen = UNetGenerator(depth=spec.depth, base=spec.base, rng=rng)
     disc = PatchDiscriminator(blocks=spec.disc_blocks, base=spec.disc_base,
                               rng=rng)
     return GanState(spec, gen, disc,
@@ -122,14 +123,18 @@ def train_step(state: GanState, batch) -> GanState:
 
     # discriminator step, generator frozen; each pair is backpropagated
     # before the next forward replaces the discriminator's layer caches,
-    # and no gradient in the pair itself is formed
+    # and no gradient in the pair itself is formed.  A backward overwrites
+    # the gradients, so the real pair's are kept and added to the fake's
     fake = gen.forward(x)
-    disc.zero_grad()
-    l_d = 0.0
-    for candidate, real in ((target, True), (fake, False)):
-        loss, grad = discriminator_loss(disc.forward(x, candidate), real)
-        disc.backward(grad, inputs=False)
-        l_d += loss
+    l_real, grad = discriminator_loss(disc.forward(x, target), True)
+    disc.backward(grad, inputs=False)
+    real_grads = [g.copy() for _, g in disc.gradients()]
+    l_fake, grad = discriminator_loss(disc.forward(x, fake), False)
+    disc.backward(grad, inputs=False)
+    for (_, g), g_real in zip(disc.gradients(), real_grads):
+        g += g_real
+    del real_grads  # not held through the generator's larger backward
+    l_d = l_real + l_fake
     if not np.isfinite(l_d):
         raise NumericError(f"discriminator loss is not finite at step {state.step}")
     adam_step(disc.parameters(), disc.gradients(), state.d_opt)
@@ -138,7 +143,6 @@ def train_step(state: GanState, batch) -> GanState:
     # gradients only.  Only the discriminator changed since ``fake`` was
     # computed, so the generator's caches still hold; the gradient in x
     # is never read
-    gen.zero_grad()
     l_g_adv, l1, grad_logits, grad_l1 = generator_loss(
         disc.forward(x, fake), fake, target, state.spec.lambda_l1)
     _, grad_fake_img = disc.backward(grad_logits, params=False)

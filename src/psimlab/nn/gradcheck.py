@@ -12,7 +12,6 @@ def grad_check(model, x, loss_fn, h=1e-6):
     relative error is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8),
     maximized over every parameter element.
     """
-    model.zero_grad()
     y = model.forward(x)
     _, grad_y = loss_fn(y)
     model.backward(grad_y)

@@ -4,7 +4,9 @@ Each layer caches what its backward pass needs and no more: a conv its
 input, padded once in the forward for both passes; an activation the 1-byte
 mask of where its input is positive; tanh and sigmoid their output.
 ``parameters()`` / ``gradients()`` expose (name, array) pairs in
-declaration order, which is also the checkpoint serialization order.
+declaration order, which is also the checkpoint serialization order.  A
+backward writes its parameter gradients over the previous ones, in the same
+arrays; a caller that sums several passes adds them up itself.
 """
 
 from __future__ import annotations
@@ -29,16 +31,12 @@ class Layer:
         return [(f"{self.name}.{p}", getattr(self, "g" + p))
                 for p in self.params]
 
-    def zero_grad(self):
-        for _, g in self.gradients():
-            g[...] = 0.0
-
     def forward(self, x):
         raise NotImplementedError
 
     def backward(self, grad_y, params=True, inputs=True):
-        """The gradient in the input, after adding the parameter gradients
-        to ``gradients()``.  ``params=False`` leaves those alone and
+        """The gradient in the input, after writing the parameter gradients
+        into ``gradients()``.  ``params=False`` leaves those alone and
         ``inputs=False`` lets a layer skip the input gradient and return
         None; a layer without parameters ignores both, and a transposed
         conv refuses either."""
@@ -90,8 +88,8 @@ class Conv2d(_Conv):
             gx, gw, gb = ops.conv_grads(self.x, self.w, grad_y, self.stride,
                                         0, params, inputs)
         if params:
-            self.gw += gw
-            self.gb += gb
+            self.gw[...] = gw
+            self.gb[...] = gb
         return None if gx is None else ops._crop(gx, self.padding)
 
 
@@ -111,8 +109,8 @@ class ConvTranspose2d(_Conv):
             raise ValueError(f"{self.name} has only the full backward")
         gx, gw, gb = ops.conv_transpose2d_backward(self.x, self.w, grad_y,
                                                    self.stride, self.padding)
-        self.gw += gw
-        self.gb += gb
+        self.gw[...] = gw
+        self.gb[...] = gb
         return gx
 
 
@@ -135,8 +133,8 @@ class InstanceNorm(Layer):
     def backward(self, grad_y, params=True, inputs=True):
         gx, ggamma, gbeta = ops.instance_norm_backward(grad_y, self.cache)
         if params:
-            self.ggamma += ggamma
-            self.gbeta += gbeta
+            self.ggamma[...] = ggamma
+            self.gbeta[...] = gbeta
         return gx
 
 

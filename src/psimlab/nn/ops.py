@@ -228,14 +228,10 @@ def conv_transpose2d_forward(x, w, b, stride=1, padding=0):
 
 def conv_transpose2d_backward(x, w, grad_y, stride=1, padding=0):
     """``grad_x`` is the gather of the padded ``grad_y`` with ``w`` and
-    ``grad_w`` contracts the same windows with ``x``, so outside the thin
-    route one im2col per chunk feeds both GEMMs."""
+    ``grad_w`` contracts the same windows with ``x``, so one im2col per
+    chunk feeds both GEMMs."""
     grad_yf = _pad(grad_y, padding, padding)
-    c, o = w.shape[:2]
-    if _thin(c, o, stride):
-        grad_x = _correlate(grad_yf, w, x.shape[2:], stride)
-        grad_w = _correlate_weight_grad(grad_yf, x, w.shape[2:], stride)
-        return grad_x, grad_w, grad_y.sum(axis=(0, 2, 3))
+    c = w.shape[0]
     grad_x = np.empty(x.shape)
     gx_flat = grad_x.reshape(len(x), c, -1)
     x_flat = x.reshape(len(x), c, -1)

@@ -164,9 +164,6 @@ class _DiscAdapter:
     def gradients(self):
         return self.disc.gradients()
 
-    def zero_grad(self):
-        self.disc.zero_grad()
-
     def forward(self, x):
         half = x.shape[1] // 2
         return self.disc.forward(x[:, :half], x[:, half:])

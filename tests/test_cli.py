@@ -510,6 +510,14 @@ class TestTrainInfer:
         ckpt = self.resaved_checkpoint(sim_dir, tmp_path, skips_as_string)
         assert self.run_with_checkpoint(command, ckpt, sim_dir, tmp_path) == 6
 
+    def test_checkpoint_without_skips_exits_6(self, sim_dir, tmp_path):
+        def no_skips(entries, meta):
+            meta["spec"]["skips"] = False
+            return entries
+
+        ckpt = self.resaved_checkpoint(sim_dir, tmp_path, no_skips)
+        assert self.run_with_checkpoint("infer", ckpt, sim_dir, tmp_path) == 6
+
     @pytest.mark.parametrize("command", ["infer", "train"])
     @pytest.mark.parametrize("key,value", [
         ("step", "1"), ("step", 1.5), ("g_opt_t", "1"), ("norm_info", []),
@@ -612,6 +620,7 @@ class TestTrainInfer:
         {"spec": TINY_SPEC, "train_count": 0},
         {"spec": TINY_SPEC, "train_fraction": 1.0},
         {"spec": TINY_SPEC, "train_fraction": -0.5},
+        {"spec": dict(TINY_SPEC, skips=False)},
     ], ids=["config_list", "steps", "seed", "batch_size", "split_seed",
             "train_count", "train_fraction", "spec_list", "negative_steps",
             "zero_batch_size", "spec_lr_string", "spec_beta1_string",
@@ -619,7 +628,8 @@ class TestTrainInfer:
             "augment_string", "spec_lr_nan", "spec_base_0",
             "spec_disc_blocks_0", "spec_negative_image_side",
             "negative_seed", "negative_split_seed", "unknown_key",
-            "zero_train_count", "train_fraction_1", "negative_train_fraction"])
+            "zero_train_count", "train_fraction_1", "negative_train_fraction",
+            "spec_skips_false"])
     def test_bad_config_field_exits_2(self, sim_dir, tmp_path, cfg):
         config = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "o"

@@ -90,7 +90,14 @@ def test_range_membership(bound, inside, outside):
      "PhaseObjectSpec.blobs"),
     (SsimParams, {"window_size": 7.5},
      "SsimParams.window_size = 7.5 is not of type int"),
-], ids=["mode", "kind", "ridge_center", "blob_of_three", "window_size"])
+    # the U-Net always has its skips; 1 and 1.0 equal True but are no bool
+    (GanSpec, {"skips": False},
+     "GanSpec.skips = False is not of type Literal[True]"),
+    (GanSpec, {"skips": 1}, "GanSpec.skips = 1 is not of type Literal[True]"),
+    (GanSpec, {"skips": 1.0},
+     "GanSpec.skips = 1.0 is not of type Literal[True]"),
+], ids=["mode", "kind", "ridge_center", "blob_of_three", "window_size",
+        "skips_false", "skips_1", "skips_1_0"])
 def test_type_violation_names_the_declared_type(cls, kwargs, message):
     with pytest.raises(ValueError) as exc:
         cls(**kwargs)

@@ -240,7 +240,7 @@ class TestModels:
         disc = PatchDiscriminator(blocks=1, base=2, rng=rng)
         a = rng.normal(size=(1, 1, 8, 8))
         b = rng.normal(size=(1, 1, 8, 8))
-        conv1, act, conv2 = disc.net.layers
+        conv1, act, conv2 = disc.layers
         x = np.concatenate([a, b], axis=1)
         y = ops.conv2d_forward(x, conv1.w, conv1.b, 2, 1)
         y = ops.leaky_relu_forward(y, 0.2)
@@ -357,21 +357,20 @@ class TestTraining:
             gen, disc = state.generator, state.discriminator
             lam = state.spec.lambda_l1
             fake = gen.forward(x)
-            disc.zero_grad()
             bce_real, grad_real = bce_with_logits(disc.forward(x, target), 1.0)
             disc.backward(0.5 * grad_real)
+            real_grads = [g.copy() for _, g in disc.gradients()]
             bce_fake, grad_fake = bce_with_logits(disc.forward(x, fake), 0.0)
             disc.backward(0.5 * grad_fake)
-            adam_step(disc.parameters(), disc.gradients(), state.d_opt)
-            gen.zero_grad()
+            d_grads = [(name, g_real + g) for (name, g), g_real
+                       in zip(disc.gradients(), real_grads)]
+            adam_step(disc.parameters(), d_grads, state.d_opt)
             fake = gen.forward(x)
-            disc.zero_grad()
             l_g_adv, grad_logits = bce_with_logits(disc.forward(x, fake), 1.0)
             _, grad_fake_img = disc.backward(grad_logits)
             l1 = float(np.mean(np.abs(fake - target)))
             gen.backward(grad_fake_img
                          + lam * np.sign(fake - target) / fake.size)
-            disc.zero_grad()
             adam_step(gen.parameters(), gen.gradients(), state.g_opt)
             state.step += 1
             state.history.append((0.5 * (bce_real + bce_fake), l_g_adv,

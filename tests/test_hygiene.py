@@ -1,13 +1,16 @@
 """Source hygiene: every module of the package uses each name it imports,
-and every name the benchmark's tracer patches still exists.
+every function, class and method it defines is named somewhere else, and
+every name the benchmark's tracer patches still exists.
 
 Package ``__init__`` files are left out: they import names to re-export
-them.
+them, and a re-export is not a use.
 """
 
 import ast
 import importlib
 import math
+import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "psimlab"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+# where a definition of the package may be named
+USERS = sorted(p for d in ("src", "tests", "perfbench")
+               for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source):
@@ -32,6 +38,42 @@ def unused_imports(source):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
+
+
+def definitions(source):
+    """The name of each function, class and method that ``source``
+    defines, dunder methods left out."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, kinds) and not (
+                      node.name.startswith("__") and node.name.endswith("__")))
+
+
+def dead_names(defined, sources):
+    """The names in ``defined`` that no text of ``sources`` names as a
+    word, besides the definitions of that name."""
+    text = "\n".join(sources)
+    words = Counter(re.findall(r"\w+", text))
+    defs = Counter(re.findall(r"\b(?:def|class)\s+(\w+)", text))
+    return sorted(name for name in set(defined) if words[name] <= defs[name])
+
+
+def test_checker_flags_a_dead_name():
+    source = ("class Used:\n    def used(self): pass\n"
+              "    def orphan(self): pass\n    def __len__(self): pass\n"
+              "def helper(): pass\n")
+    user = "from m import Used\nUsed().used()\n# helper is kept for...\n"
+    defined = definitions(source)
+    assert defined == ["Used", "helper", "orphan", "used"]
+    assert dead_names(defined, [source, user]) == ["orphan"]
+    # a second definition of a name is no mention of it
+    assert dead_names(["used"], [source, source]) == ["used"]
+
+
+def test_every_definition_is_named_elsewhere():
+    sources = [p.read_text() for p in USERS]
+    defined = [name for p in MODULES for name in definitions(p.read_text())]
+    assert dead_names(defined, sources) == []
 
 
 def test_checker_flags_an_unused_import():

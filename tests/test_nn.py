@@ -115,11 +115,11 @@ class TestConvTranspose2d:
 
 class TestPartialBackward:
     """``params=False`` and ``inputs=False`` leave out gradients without
-    changing the ones a conv still forms, bitwise."""
+    changing the ones a conv still forms, bitwise; a backward overwrites
+    the parameter gradients it forms and leaves the others as they were."""
 
     @staticmethod
     def backward(layer, x, gy, **flags):
-        layer.zero_grad()
         layer.forward(x)
         gx = layer.backward(gy, **flags)
         return gx, [g.copy() for _, g in layer.gradients()]
@@ -133,10 +133,15 @@ class TestPartialBackward:
         x = rng.normal(size=(2, in_ch, 8, 8))
         gy = rng.normal(size=layer.forward(x).shape)
         gx, grads = self.backward(layer, x, gy)
+        _, doubled = self.backward(layer, x, 2.0 * gy)
         gx_only, untouched = self.backward(layer, x, gy, params=False)
         none, grads_only = self.backward(layer, x, gy, inputs=False)
         assert gx_only.tobytes() == gx.tobytes()
-        assert all(not g.any() for g in untouched)
+        # as the previous backward, on 2 * gy, set them
+        assert [g.tobytes() for g in untouched] == \
+            [g.tobytes() for g in doubled]
+        assert [g.tobytes() for g in doubled] != \
+            [g.tobytes() for g in grads]
         assert none is None
         assert [g.tobytes() for g in grads_only] == \
             [g.tobytes() for g in grads]
@@ -590,25 +595,28 @@ class TestConvLayerPadsOnce:
         x = rng.normal(size=(3, in_ch, 8, 8))
         y = layer.forward(x)
         assert y.tobytes() == ops.conv2d_forward(x, w, b, stride, 1).tobytes()
-        gy = rng.normal(size=y.shape)
         for flags in ({}, {"params": False}, {"inputs": False}):
+            # a new gy each time, so gradients a backward should leave
+            # alone would change if it wrote them
+            gy = rng.normal(size=y.shape)
             ref = ops.conv_grads(x, w, gy, stride, 1, **flags)
             if not flags:
                 full = ops.conv2d_backward(x, w, gy, stride, 1)
                 assert [a.tobytes() for a in full] == \
                     [a.tobytes() for a in ref]
-            layer.zero_grad()
             gx = layer.backward(gy, **flags)
             if ref[0] is None:
                 assert gx is None
             else:
                 assert gx.shape == x.shape
                 assert gx.tobytes() == ref[0].tobytes()
-            if ref[1] is None:
-                assert not layer.gw.any() and not layer.gb.any()
+            if ref[1] is None:  # as the previous backward set them
+                assert layer.gw.tobytes() == grads[0].tobytes()
+                assert layer.gb.tobytes() == grads[1].tobytes()
             else:
                 assert layer.gw.tobytes() == ref[1].tobytes()
                 assert layer.gb.tobytes() == ref[2].tobytes()
+            grads = layer.gw.copy(), layer.gb.copy()
 
 
 class TestInstanceNorm:
