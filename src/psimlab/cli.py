@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Annotated, Optional
+from typing import Annotated, Literal, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .metrics import (SsimParams, align_global_offset, foreground_mask,
 from .nn import CheckpointError, NumericError
 from .reconstruct import reconstruct_stack
 from .simulate import (DEFAULT_SHIFTS, ForwardModelSpec, InterferogramStack,
-                       synth_dataset)
+                       SourceSpec, synth_dataset)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,11 +60,12 @@ def _setup_logging():
 
 @dataclass
 class SimulateConfig:
-    count: int
-    width: int = 64
-    height: int = 64
-    object_family: str = "cell_blobs"
-    seed: int = 0
+    count: Annotated[int, Range(ge=1)]
+    width: Annotated[int, Range(ge=8)] = 64
+    height: Annotated[int, Range(ge=8)] = 64
+    object_family: Literal["flat", "waveguide_ridge", "cell_blobs"] = \
+        "cell_blobs"
+    seed: Annotated[int, Range(ge=0)] = 0
     model: ForwardModelSpec = field(default_factory=ForwardModelSpec)
 
     __post_init__ = check_fields
@@ -146,7 +147,7 @@ def _load_stack(sample_dir):
             frames, meta.get("realized_shifts", list(DEFAULT_SHIFTS)),
             ForwardModelSpec(), seed=meta.get("seed"))
         if meta.get("lambda0_nm") is not None:
-            meta["lambda0_nm"] = float(meta["lambda0_nm"])
+            meta["lambda0_nm"] = float(SourceSpec(meta["lambda0_nm"]).lambda0)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{sample_dir}: bad frame_1 sidecar: {exc}") from None
     return stack, meta

@@ -3,8 +3,10 @@
 The generator is a U-Net: stride-2 conv encoder, stride-2 transposed-conv
 decoder, skip concatenation at every level (including the input at full
 resolution), final 3x3 conv + tanh.  The discriminator is a patch critic:
-the (input, candidate) pair is channel-concatenated, passed through three
-stride-2 conv blocks and a final conv that emits a grid of logits.
+it reads the (input, candidate) pair as one two-channel array, which the
+training step concatenates, and passes it through stride-2 conv blocks and
+a final conv that emits a grid of logits.  One ``_block`` builds every
+stride-2 block of both networks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from ..nn.layers import (Conv2d, ConvTranspose2d, InstanceNorm, LeakyReLU,
 
 
 def _tag_names(block: Sequential, tag: str):
-    """Prefix layer names with the block position.
+    """Prefix layer names with the block position, and return the block.
 
     Checkpoint entries and Adam moment buffers are keyed by parameter name,
     so names must be unique across the whole network even when two blocks
@@ -24,6 +26,24 @@ def _tag_names(block: Sequential, tag: str):
     """
     for layer in block.layers:
         layer.name = f"{tag}.{layer.name}"
+    return block
+
+
+def _widths(base, n):
+    """Output channels of ``n`` stride-2 blocks: doubling from ``base``,
+    capped at ``base * 8``."""
+    return [min(base * 2 ** k, base * 8) for k in range(n)]
+
+
+def _block(conv, ch_in, ch_out, norm, act, rng):
+    """The layers of a 4x4 stride-2 ``conv``, an ``InstanceNorm`` if
+    ``norm``, then ``act``.  A conv that feeds a norm has no bias: the norm
+    would cancel it exactly."""
+    layers = [conv(ch_in, ch_out, 4, stride=2, padding=1, rng=rng,
+                   bias=not norm)]
+    if norm:
+        layers.append(InstanceNorm(ch_out))
+    return layers + [act]
 
 
 class UNetGenerator(Sequential):
@@ -31,41 +51,24 @@ class UNetGenerator(Sequential):
         rng = rng or np.random.default_rng(0)
         self.depth = depth
 
-        down_out = [min(base * 2 ** k, base * 8) for k in range(depth)]
+        down_out = _widths(base, depth)
         act_ch = [1] + down_out  # channels of acts[0..depth]
-        self.up_out = [base if k == 0 else down_out[k - 1]
-                       for k in range(depth)]
+        self.up_out = [base] + down_out[:-1]
+        # the deepest up block reads the bottleneck, every other one the
+        # block below it concatenated with the skip
+        up_in = [self.up_out[k + 1] + act_ch[k + 1]
+                 for k in range(depth - 1)] + [down_out[-1]]
 
-        self.downs = []
-        for k in range(depth):
-            block = [Conv2d(act_ch[k], down_out[k], 4, stride=2, padding=1,
-                            rng=rng, bias=(k == 0))]
-            if k > 0:
-                block.append(InstanceNorm(down_out[k]))
-            block.append(LeakyReLU(0.2))
-            seq = Sequential(*block)
-            _tag_names(seq, f"down{k}")
-            self.downs.append(seq)
-
-        self.ups = []
-        for k in range(depth):
-            if k == depth - 1:
-                up_in = down_out[depth - 1]
-            else:
-                up_in = self.up_out[k + 1] + act_ch[k + 1]
-            seq = Sequential(
-                ConvTranspose2d(up_in, self.up_out[k], 4, stride=2, padding=1,
-                                rng=rng, bias=False),
-                InstanceNorm(self.up_out[k]),
-                ReLU())
-            _tag_names(seq, f"up{k}")
-            self.ups.append(seq)
-
-        head_in = self.up_out[0] + act_ch[0]
-        self.head = Sequential(
-            Conv2d(head_in, 1, 3, stride=1, padding=1, rng=rng),
-            Tanh())
-        _tag_names(self.head, "g_head")
+        self.downs = [_tag_names(Sequential(*_block(
+            Conv2d, act_ch[k], down_out[k], k > 0, LeakyReLU(0.2), rng)),
+            f"down{k}") for k in range(depth)]
+        self.ups = [_tag_names(Sequential(*_block(
+            ConvTranspose2d, up_in[k], self.up_out[k], True, ReLU(), rng)),
+            f"up{k}") for k in range(depth)]
+        self.head = _tag_names(Sequential(
+            Conv2d(self.up_out[0] + act_ch[0], 1, 3, stride=1, padding=1,
+                   rng=rng),
+            Tanh()), "g_head")
         # block order is the parameter, checkpoint and Adam-key order
         self.layers = self.downs + self.ups + [self.head]
 
@@ -98,34 +101,16 @@ class UNetGenerator(Sequential):
 
 
 class PatchDiscriminator(Sequential):
+    """Patch logits of the channels of (condition, candidate), concatenated
+    in that order."""
+
     def __init__(self, blocks=3, base=16, rng=None):
         rng = rng or np.random.default_rng(0)
+        widths = _widths(base, blocks)
         layers = []
-        ch = 2  # the (condition, candidate) pair
-        for k in range(blocks):
-            out = min(base * 2 ** k, base * 8)
-            layers.append(Conv2d(ch, out, 4, stride=2, padding=1, rng=rng,
-                                 bias=(k == 0)))
-            if k > 0:
-                layers.append(InstanceNorm(out))
-            layers.append(LeakyReLU(0.2))
-            ch = out
-        layers.append(Conv2d(ch, 1, 3, stride=1, padding=1, rng=rng))
-        super().__init__(*layers)
+        for k, (ch_in, ch_out) in enumerate(zip([2] + widths, widths)):
+            layers += _block(Conv2d, ch_in, ch_out, k > 0, LeakyReLU(0.2),
+                             rng)
+        super().__init__(*layers, Conv2d(widths[-1], 1, 3, stride=1,
+                                         padding=1, rng=rng))
         _tag_names(self, "d")
-
-    def forward(self, condition, candidate):
-        """Patch logits for a (condition, candidate) image pair."""
-        if condition.shape != candidate.shape:
-            raise ValueError("condition and candidate must share shape")
-        x = np.concatenate([condition, candidate], axis=1)
-        return super().forward(x)
-
-    def backward(self, grad_logits, params=True, inputs=True):
-        """Returns (grad wrt condition, grad wrt candidate), or None when
-        ``inputs`` is False."""
-        g = super().backward(grad_logits, params, inputs)
-        if g is None:
-            return None
-        half = g.shape[1] // 2
-        return g[:, :half], g[:, half:]

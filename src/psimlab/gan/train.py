@@ -121,15 +121,18 @@ def train_step(state: GanState, batch) -> GanState:
     x, target = _as_batch(batch)
     gen, disc = state.generator, state.discriminator
 
-    # discriminator step, generator frozen; each pair is backpropagated
+    # discriminator step, generator frozen.  The discriminator reads each
+    # (x, candidate) pair as one two-channel array; each is backpropagated
     # before the next forward replaces the discriminator's layer caches,
     # and no gradient in the pair itself is formed.  A backward overwrites
     # the gradients, so the real pair's are kept and added to the fake's
     fake = gen.forward(x)
-    l_real, grad = discriminator_loss(disc.forward(x, target), True)
+    l_real, grad = discriminator_loss(
+        disc.forward(np.concatenate([x, target], axis=1)), True)
     disc.backward(grad, inputs=False)
     real_grads = [g.copy() for _, g in disc.gradients()]
-    l_fake, grad = discriminator_loss(disc.forward(x, fake), False)
+    pair = np.concatenate([x, fake], axis=1)
+    l_fake, grad = discriminator_loss(disc.forward(pair), False)
     disc.backward(grad, inputs=False)
     for (_, g), g_real in zip(disc.gradients(), real_grads):
         g += g_real
@@ -141,11 +144,12 @@ def train_step(state: GanState, batch) -> GanState:
 
     # generator step, discriminator frozen: its backward forms input
     # gradients only.  Only the discriminator changed since ``fake`` was
-    # computed, so the generator's caches still hold; the gradient in x
-    # is never read
+    # computed, so the generator's caches still hold; the gradient in x,
+    # channel 0 of the pair, is never read
     l_g_adv, l1, grad_logits, grad_l1 = generator_loss(
-        disc.forward(x, fake), fake, target, state.spec.lambda_l1)
-    _, grad_fake_img = disc.backward(grad_logits, params=False)
+        disc.forward(pair), fake, target, state.spec.lambda_l1)
+    del pair  # not held through the generator's backward
+    grad_fake_img = disc.backward(grad_logits, params=False)[:, 1:]
     if not np.isfinite(l_g_adv) or not np.isfinite(l1):
         raise NumericError(f"generator loss is not finite at step {state.step}")
     gen.backward(grad_fake_img + grad_l1, inputs=False)

@@ -74,7 +74,7 @@ class ForwardModelSpec:
     source: SourceSpec = field(default_factory=SourceSpec)
     i_object: Annotated[float, Range(gt=0)] = 1.0
     i_reference: Annotated[float, Range(gt=0)] = 1.0
-    shift_schedule: Sequence[float] = DEFAULT_SHIFTS
+    shift_schedule: Tuple[float, float, float, float, float] = DEFAULT_SHIFTS
     jitter_sigma: Annotated[float, Range(ge=0)] = 0.0
     noise_sigma: Annotated[float, Range(ge=0)] = 0.0
     envelope_reference_opd: float = 0.0
@@ -82,8 +82,6 @@ class ForwardModelSpec:
     def __post_init__(self):
         check_fields(self)
         self.shift_schedule = tuple(float(s) for s in self.shift_schedule)
-        if len(self.shift_schedule) != 5:
-            raise ValueError("shift schedule must have exactly 5 entries")
 
 
 @dataclass

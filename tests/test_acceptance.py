@@ -152,27 +152,6 @@ def test_criterion_03_noise_degradation():
 
 # ---------------------------------------------------------------- criterion 4
 
-class _DiscAdapter:
-    """Presents the two-input discriminator as a single-input model."""
-
-    def __init__(self, disc):
-        self.disc = disc
-
-    def parameters(self):
-        return self.disc.parameters()
-
-    def gradients(self):
-        return self.disc.gradients()
-
-    def forward(self, x):
-        half = x.shape[1] // 2
-        return self.disc.forward(x[:, :half], x[:, half:])
-
-    def backward(self, grad_y):
-        gc, gx = self.disc.backward(grad_y)
-        return np.concatenate([gc, gx], axis=1)
-
-
 def run_gradient_checks():
     started = time.monotonic()
     rng = np.random.default_rng(4)
@@ -209,8 +188,7 @@ def run_gradient_checks():
     t = gen.forward(xg) + rng.uniform(0.2, 1.0, (1, 1, 8, 8))
     results["generator"] = grad_check(gen, xg, l2_loss(t))
 
-    disc = _DiscAdapter(PatchDiscriminator(blocks=2, base=4,
-                                           rng=np.random.default_rng(41)))
+    disc = PatchDiscriminator(blocks=2, base=4, rng=np.random.default_rng(41))
     xd = rng.normal(size=(1, 2, 8, 8))
     t = disc.forward(xd) + rng.uniform(0.2, 1.0, disc.forward(xd).shape)
     results["discriminator"] = grad_check(disc, xd, l2_loss(t))

@@ -273,6 +273,9 @@ class TestReconstruct:
         ("reconstruct", "frame_1.pfm.json", '{"realized_shifts": [0, 1]}'),
         ("reconstruct", "frame_1.pfm.json", '{"lambda0_nm": "x"}'),
         ("reconstruct", "frame_1.pfm.json", '{"lambda0_nm": [1, 2]}'),
+        ("reconstruct", "frame_1.pfm.json", '{"lambda0_nm": -520}'),
+        ("reconstruct", "frame_1.pfm.json", '{"lambda0_nm": 0}'),
+        ("reconstruct", "frame_1.pfm.json", '{"lambda0_nm": true}'),
         ("eval", "phase_gt.pfm.json", "[]"),
     ])
     def test_malformed_sidecar_exits_4(self, sim_dir, tmp_path, command,

@@ -5,7 +5,7 @@ and a violation names the record, the field, the value and the bound."""
 import pytest
 
 from psimlab import ForwardModelSpec, PhaseObjectSpec, SourceSpec
-from psimlab.cli import TrainConfig
+from psimlab.cli import SimulateConfig, TrainConfig
 from psimlab.config import Range
 from psimlab.gan.train import GanMeta, GanSpec
 from psimlab.metrics import SsimParams
@@ -96,8 +96,21 @@ def test_range_membership(bound, inside, outside):
     (GanSpec, {"skips": 1}, "GanSpec.skips = 1 is not of type Literal[True]"),
     (GanSpec, {"skips": 1.0},
      "GanSpec.skips = 1.0 is not of type Literal[True]"),
+    (SimulateConfig, {"count": 0},
+     "SimulateConfig.count = 0 is not of type Annotated[int, Range(ge=1)]"),
+    (SimulateConfig, {"count": 1, "width": 4},
+     "SimulateConfig.width = 4 is not of type Annotated[int, Range(ge=8)]"),
+    (SimulateConfig, {"count": 1, "seed": -1},
+     "SimulateConfig.seed = -1 is not of type Annotated[int, Range(ge=0)]"),
+    (SimulateConfig, {"count": 1, "object_family": "nope"},
+     "SimulateConfig.object_family = 'nope' is not of type "
+     "Literal['flat', 'waveguide_ridge', 'cell_blobs']"),
+    (ForwardModelSpec, {"shift_schedule": (0.0, 1.0, 2.0)},
+     "ForwardModelSpec.shift_schedule = (0.0, 1.0, 2.0) is not of type "
+     "Tuple[float, float, float, float, float]"),
 ], ids=["mode", "kind", "ridge_center", "blob_of_three", "window_size",
-        "skips_false", "skips_1", "skips_1_0"])
+        "skips_false", "skips_1", "skips_1_0", "sim_count", "sim_width",
+        "sim_seed", "sim_family", "shift_schedule"])
 def test_type_violation_names_the_declared_type(cls, kwargs, message):
     with pytest.raises(ValueError) as exc:
         cls(**kwargs)

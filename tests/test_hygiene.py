@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package uses each name it imports,
-every function, class and method it defines is named somewhere else, and
-every name the benchmark's tracer patches still exists.
+every function, class and method it defines is named somewhere else, the
+README's Layout names every module, and every name the benchmark's tracer
+patches still exists.
 
 Package ``__init__`` files are left out: they import names to re-export
 them, and a re-export is not a use.
@@ -81,6 +82,20 @@ def test_checker_flags_an_unused_import():
               "import math\nimport numpy as np\nfrom os import path, sep\n"
               "x = np.pi + len(sep)\n")
     assert unused_imports(source) == [(2, "math"), (4, "path")]
+
+
+def test_readme_layout_names_every_module():
+    """Each module and subpackage directly under ``src/psimlab`` has its
+    bullet in the README's Layout section; a subpackage's bullet covers
+    its own modules."""
+    layout = (ROOT / "README.md").read_text().split("## Layout", 1)[1]
+    layout = layout.split("\n## ", 1)[0]
+    entries = [p.name + ("/" if p.is_dir() else "")
+               for p in sorted(PACKAGE.iterdir())
+               if p.name != "__init__.py" and (
+                   p.suffix == ".py" or (p / "__init__.py").exists())]
+    assert {"cli.py", "gan/", "nn/"} <= set(entries)
+    assert [e for e in entries if f"`src/psimlab/{e}`" not in layout] == []
 
 
 def test_package_modules_are_found():

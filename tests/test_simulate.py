@@ -210,7 +210,9 @@ class TestSynthDataset:
 
 class TestSpecValidation:
     def test_shift_schedule_length(self):
-        with pytest.raises(ValueError, match="5 entries"):
+        with pytest.raises(ValueError, match=r"shift_schedule = \(0\.0, "
+                           r"1\.0, 2\.0\) is not of type Tuple\[float, "
+                           r"float, float, float, float\]"):
             ForwardModelSpec(shift_schedule=(0.0, 1.0, 2.0))
 
     def test_positive_intensities(self):
