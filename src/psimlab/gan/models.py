@@ -87,11 +87,17 @@ class UNetGenerator(Sequential):
         return self.head.forward(u)
 
     def backward(self, grad_y, inputs=True):
-        g = self.head.backward(grad_y)
+        # each gradient in a concatenation rides in a one-item list: its
+        # skip part is copied out and the up block gets the rest, with no
+        # reference left here, so the whole array is freed once the
+        # block's first layer has read it
+        pending = [self.head.backward(grad_y)]
         skip_grads = {}
         for k in range(self.depth):
-            skip_grads[k] = g[:, self.up_out[k]:]
-            g = self.ups[k].backward(g[:, :self.up_out[k]])
+            c = self.up_out[k]
+            skip_grads[k] = pending[0][:, c:].copy()
+            pending.append(self.ups[k].backward(pending.pop()[:, :c]))
+        g = pending.pop()
         for k in range(self.depth - 1, -1, -1):
             g = self.downs[k].backward(g, inputs=inputs or k > 0)
             if g is None:  # the input's own gradient, not asked for

@@ -2,7 +2,9 @@
 
 Each layer caches what its backward pass needs and no more: a conv its
 input, padded once in the forward for both passes; an activation the 1-byte
-mask of where its input is positive; tanh and sigmoid their output.
+mask of where its input is positive; tanh and sigmoid their output.  A cache
+lives from a forward until its backward, which drops it, so every backward
+needs a forward of its own before it.
 ``parameters()`` / ``gradients()`` expose (name, array) pairs in
 declaration order, which is also the checkpoint serialization order.  A
 backward writes its parameter gradients over the previous ones, in the same
@@ -42,6 +44,14 @@ class Layer:
         conv refuses either."""
         raise NotImplementedError
 
+    def _release(self, cache):
+        """The forward's cache ``cache``, which the layer no longer holds."""
+        try:
+            return self.__dict__.pop(cache)
+        except KeyError:
+            raise RuntimeError(f"{self.name}: backward without a forward "
+                               "since the last backward") from None
+
 
 class _Conv(Layer):
     """Parameters and naming shared by ``Conv2d`` and ``ConvTranspose2d``.
@@ -55,16 +65,19 @@ class _Conv(Layer):
                  bias=True):
         self.stride = stride
         self.padding = padding
-        # bias=False for convs feeding a normalization layer, where a bias
-        # would be cancelled exactly and its gradient structurally zero
-        if not bias:
-            self.params = ("w",)
         rng = rng or np.random.default_rng(0)
         layout = (in_ch, out_ch) if self.transposed else (out_ch, in_ch)
         self.w = rng.normal(0.0, WEIGHT_INIT_SIGMA, layout + (kernel, kernel))
-        self.b = np.zeros(out_ch)
         self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
+        # bias=False for convs feeding a normalization layer, where a bias
+        # would be cancelled exactly and its gradient structurally zero:
+        # the ops then neither add one nor form its gradient
+        self.b = self.gb = None
+        if bias:
+            self.b = np.zeros(out_ch)
+            self.gb = np.zeros_like(self.b)
+        else:
+            self.params = ("w",)
         prefix = "convT" if self.transposed else "conv"
         self.name = f"{prefix}{kernel}x{kernel}s{stride}_{in_ch}to{out_ch}"
 
@@ -81,15 +94,17 @@ class Conv2d(_Conv):
     def backward(self, grad_y, params=True, inputs=True):
         # the public backward op returns all three gradients; a partial
         # backward asks conv_grads for the ones it needs
+        x, bias = self._release("x"), self.b is not None
         if params and inputs:
-            gx, gw, gb = ops.conv2d_backward(self.x, self.w, grad_y,
-                                             self.stride, 0)
+            gx, gw, gb = ops.conv2d_backward(x, self.w, grad_y, self.stride,
+                                             0, bias)
         else:
-            gx, gw, gb = ops.conv_grads(self.x, self.w, grad_y, self.stride,
-                                        0, params, inputs)
+            gx, gw, gb = ops.conv_grads(x, self.w, grad_y, self.stride, 0,
+                                        params, inputs, bias)
         if params:
             self.gw[...] = gw
-            self.gb[...] = gb
+            if bias:
+                self.gb[...] = gb
         return None if gx is None else ops._crop(gx, self.padding)
 
 
@@ -107,10 +122,13 @@ class ConvTranspose2d(_Conv):
     def backward(self, grad_y, params=True, inputs=True):
         if not (params and inputs):
             raise ValueError(f"{self.name} has only the full backward")
-        gx, gw, gb = ops.conv_transpose2d_backward(self.x, self.w, grad_y,
-                                                   self.stride, self.padding)
+        bias = self.b is not None
+        gx, gw, gb = ops.conv_transpose2d_backward(
+            self._release("x"), self.w, grad_y, self.stride, self.padding,
+            bias)
         self.gw[...] = gw
-        self.gb[...] = gb
+        if bias:
+            self.gb[...] = gb
         return gx
 
 
@@ -131,7 +149,8 @@ class InstanceNorm(Layer):
         return check_finite(y, self.name)
 
     def backward(self, grad_y, params=True, inputs=True):
-        gx, ggamma, gbeta = ops.instance_norm_backward(grad_y, self.cache)
+        gx, ggamma, gbeta = ops.instance_norm_backward(
+            grad_y, self._release("cache"))
         if params:
             self.ggamma[...] = ggamma
             self.gbeta[...] = gbeta
@@ -149,7 +168,8 @@ class LeakyReLU(Layer):
         return ops.leaky_relu_forward(x, self.alpha)
 
     def backward(self, grad_y, params=True, inputs=True):
-        return ops.leaky_relu_backward(self.positive, grad_y, self.alpha)
+        return ops.leaky_relu_backward(self._release("positive"), grad_y,
+                                       self.alpha)
 
 
 class ReLU(Layer):
@@ -160,7 +180,7 @@ class ReLU(Layer):
         return ops.relu_forward(x)
 
     def backward(self, grad_y, params=True, inputs=True):
-        return ops.relu_backward(self.positive, grad_y)
+        return ops.relu_backward(self._release("positive"), grad_y)
 
 
 class Tanh(Layer):
@@ -171,7 +191,7 @@ class Tanh(Layer):
         return self.y
 
     def backward(self, grad_y, params=True, inputs=True):
-        return ops.tanh_backward(self.y, grad_y)
+        return ops.tanh_backward(self._release("y"), grad_y)
 
 
 class Sigmoid(Layer):
@@ -182,7 +202,7 @@ class Sigmoid(Layer):
         return check_finite(self.y, self.name)
 
     def backward(self, grad_y, params=True, inputs=True):
-        return ops.sigmoid_backward(self.y, grad_y)
+        return ops.sigmoid_backward(self._release("y"), grad_y)
 
 
 class Sequential(Layer):

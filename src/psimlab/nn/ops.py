@@ -32,7 +32,11 @@ generator head), where an im2col would copy c*k^2 values per pixel to
 produce o of them, runs each primitive as its twin, which is not thin and
 keeps temporaries at o*k^2 values per pixel.  ``conv_grads`` forms only
 the gradients a caller asks for, such as the input gradients alone of a
-frozen network.
+frozen network.  A conv without a bias passes ``b=None`` to a forward,
+which then adds nothing (the transposed conv returns its cropped view; an
+exact zero keeps the sign that adding 0.0 would make +0.0), and
+``bias=False`` to a backward, which returns None for the bias gradient in
+the third place of its three results.
 
 Padding, LeakyReLU and the instance-norm forward make fewer full-array
 passes and temporaries than their textbook formulas, with bitwise the same
@@ -208,12 +212,13 @@ def conv2d_forward(x, w, b, stride=1, padding=0):
     if min(out_hw) < 1:
         raise ValueError("kernel larger than padded input")
     y = _correlate(_pad(x, padding, padding), w, out_hw, stride)
-    y += b[None, :, None, None]
+    if b is not None:
+        y += b[None, :, None, None]
     return y
 
 
-def conv2d_backward(x, w, grad_y, stride=1, padding=0):
-    return conv_grads(x, w, grad_y, stride, padding)
+def conv2d_backward(x, w, grad_y, stride=1, padding=0, bias=True):
+    return conv_grads(x, w, grad_y, stride, padding, bias=bias)
 
 
 def conv_transpose2d_forward(x, w, b, stride=1, padding=0):
@@ -223,10 +228,10 @@ def conv_transpose2d_forward(x, w, b, stride=1, padding=0):
                          f"kernel expects {w.shape[0]}")
     full_hw = [(s - 1) * stride + k for s, k in zip(x.shape[2:], w.shape[2:])]
     y = _crop(_correlate_adjoint(x, w, full_hw, stride), padding)
-    return y + b[None, :, None, None]
+    return y if b is None else y + b[None, :, None, None]
 
 
-def conv_transpose2d_backward(x, w, grad_y, stride=1, padding=0):
+def conv_transpose2d_backward(x, w, grad_y, stride=1, padding=0, bias=True):
     """``grad_x`` is the gather of the padded ``grad_y`` with ``w`` and
     ``grad_w`` contracts the same windows with ``x``, so one im2col per
     chunk feeds both GEMMs."""
@@ -241,13 +246,15 @@ def conv_transpose2d_backward(x, w, grad_y, stride=1, padding=0):
         np.matmul(w_mat, cols, out=gx_flat[s])
         for x_i, cols_i in zip(x_flat[s], cols):
             grad_w += x_i @ cols_i.T
-    return grad_x, grad_w.reshape(w.shape), grad_y.sum(axis=(0, 2, 3))
+    grad_b = grad_y.sum(axis=(0, 2, 3)) if bias else None
+    return grad_x, grad_w.reshape(w.shape), grad_b
 
 
-def conv_grads(x, w, grad_y, stride=1, padding=0, params=True, inputs=True):
+def conv_grads(x, w, grad_y, stride=1, padding=0, params=True, inputs=True,
+               bias=True):
     """``(grad_x, grad_w, grad_b)`` of ``conv2d``, with None in place of
-    ``grad_x`` unless ``inputs`` and of the other two unless ``params``.
-    ``conv2d_backward`` is its full case."""
+    ``grad_x`` unless ``inputs``, of the other two unless ``params`` and of
+    ``grad_b`` unless ``bias``.  ``conv2d_backward`` is its full case."""
     grad_x = grad_w = grad_b = None
     if inputs:
         xp_hw = [s + 2 * padding for s in x.shape[2:]]
@@ -255,7 +262,8 @@ def conv_grads(x, w, grad_y, stride=1, padding=0, params=True, inputs=True):
     if params:
         grad_w = _correlate_weight_grad(_pad(x, padding, padding), grad_y,
                                         w.shape[2:], stride)
-        grad_b = grad_y.sum(axis=(0, 2, 3))
+        if bias:
+            grad_b = grad_y.sum(axis=(0, 2, 3))
     return grad_x, grad_w, grad_b
 
 

@@ -423,12 +423,16 @@ class TestTraining:
 
     def test_paper_config_step_memory_is_bounded(self):
         # a batch-8 step at 64^2, depth 4, base 16: the activations cache
-        # 1-byte masks, not their float inputs, and Adam updates in place
-        # (52 MB when each activation held its input)
+        # 1-byte masks, not their float inputs, Adam updates in place and
+        # each backward drops its forward's cache, so the caches of the
+        # discriminator and of the blocks already backpropagated are gone
+        # when up0 runs its backward (52 MB when each activation held its
+        # input, 44.5 MB when the caches lived until the next forward)
         state = init_gan(GanSpec(), seed=0)
         pairs = random_pairs(8, side=64, seed=9)
-        train_step(state, pairs)  # the Adam moments exist from here on
-        assert traced_peak(train_step, state, pairs) < 47e6
+        for _ in range(2):  # the Adam moments exist from here on
+            train_step(state, pairs)
+        assert traced_peak(train_step, state, pairs) <= 34e6
 
 
 class TestInference:

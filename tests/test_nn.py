@@ -593,9 +593,12 @@ class TestConvLayerPadsOnce:
         layer.b[:] = rng.normal(size=out_ch)
         w, b = layer.w, layer.b
         x = rng.normal(size=(3, in_ch, 8, 8))
-        y = layer.forward(x)
-        assert y.tobytes() == ops.conv2d_forward(x, w, b, stride, 1).tobytes()
         for flags in ({}, {"params": False}, {"inputs": False}):
+            # each backward drops its forward's cache, so each has a
+            # forward of its own
+            y = layer.forward(x)
+            assert y.tobytes() == \
+                ops.conv2d_forward(x, w, b, stride, 1).tobytes()
             # a new gy each time, so gradients a backward should leave
             # alone would change if it wrote them
             gy = rng.normal(size=y.shape)
@@ -617,6 +620,114 @@ class TestConvLayerPadsOnce:
                 assert layer.gw.tobytes() == ref[1].tobytes()
                 assert layer.gb.tobytes() == ref[2].tobytes()
             grads = layer.gw.copy(), layer.gb.copy()
+
+
+def _held_arrays(layer):
+    """ids of the arrays the layer's attributes hold, in tuples too."""
+    held = set()
+    for v in vars(layer).values():
+        for a in v if isinstance(v, tuple) else (v,):
+            if isinstance(a, np.ndarray):
+                held.add(id(a))
+    return held
+
+
+class TestBackwardReleasesItsCache:
+    """A cache lives from a forward until its backward: afterwards a layer
+    holds its parameters and their gradients and no other array, and
+    another backward needs a forward of its own."""
+
+    @pytest.mark.parametrize("layer,shape", [
+        (Conv2d(3, 4, 4, stride=2, padding=1, bias=False), (2, 3, 8, 8)),
+        (Conv2d(17, 1, 3, stride=1, padding=1), (2, 17, 6, 6)),
+        (ConvTranspose2d(4, 3, 4, stride=2, padding=1, bias=False),
+         (2, 4, 4, 4)),
+        (InstanceNorm(3), (2, 3, 5, 5)),
+        (LeakyReLU(0.2), (2, 3, 5, 5)),
+        (ReLU(), (2, 3, 5, 5)),
+        (Tanh(), (2, 3, 5, 5)),
+        (Sigmoid(), (2, 3, 5, 5)),
+    ], ids=["conv_stride2", "conv_thin_head", "conv_transpose",
+            "instance_norm", "leaky_relu", "relu", "tanh", "sigmoid"])
+    def test_no_cache_outlives_the_backward(self, layer, shape):
+        rng = np.random.default_rng(15)
+        own = {id(a) for _, a in layer.parameters() + layer.gradients()}
+        y = layer.forward(rng.normal(size=shape))
+        assert _held_arrays(layer) - own  # the forward's cache
+        layer.backward(rng.normal(size=y.shape))
+        assert _held_arrays(layer) == own
+        with pytest.raises(RuntimeError, match="backward without a forward"):
+            layer.backward(rng.normal(size=y.shape))
+
+
+class TestBiasFreeConvs:
+    """A conv without a bias adds none and forms no bias gradient; every
+    other result is bitwise the zero-bias conv's."""
+
+    CASES = [(3, 4, 4, 2, 1), (5, 1, 3, 1, 1), (4, 3, 3, 1, 0)]
+
+    @pytest.mark.parametrize("c,o,k,stride,pad", CASES)
+    def test_forward_is_the_zero_bias_forward(self, c, o, k, stride, pad):
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(2, c, 8, 8))
+        w = rng.normal(size=(o, c, k, k))
+        for op, kernel in ((ops.conv2d_forward, w),
+                           (ops.conv_transpose2d_forward,
+                            w.transpose(1, 0, 2, 3))):
+            assert op(x, kernel, None, stride, pad).tobytes() == \
+                op(x, kernel, np.zeros(o), stride, pad).tobytes()
+
+    @pytest.mark.parametrize("c,o,k,stride,pad", CASES)
+    def test_backward_ops_form_no_bias_gradient(self, c, o, k, stride, pad):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(2, c, 8, 8))
+        w = rng.normal(size=(o, c, k, k))
+        w_t = w.transpose(1, 0, 2, 3)
+        gy, gy_t = (rng.normal(size=op(x, kernel, None, stride, pad).shape)
+                    for op, kernel in ((ops.conv2d_forward, w),
+                                       (ops.conv_transpose2d_forward, w_t)))
+        runs = [(ops.conv2d_backward, (x, w, gy, stride, pad), {}),
+                (ops.conv_transpose2d_backward, (x, w_t, gy_t, stride, pad),
+                 {})]
+        runs += [(ops.conv_grads, (x, w, gy, stride, pad), flags)
+                 for flags in ({"params": False}, {"inputs": False})]
+        for op, args, flags in runs:
+            *free, gb = op(*args, **flags, bias=False)
+            *biased, _ = op(*args, **flags)
+            assert gb is None
+            assert [a if a is None else a.tobytes() for a in free] == \
+                [a if a is None else a.tobytes() for a in biased]
+
+    @pytest.mark.parametrize("layer,shape", [
+        (Conv2d(3, 4, 4, stride=2, padding=1, bias=False), (2, 3, 8, 8)),
+        (ConvTranspose2d(4, 3, 4, stride=2, padding=1, bias=False),
+         (2, 4, 4, 4)),
+    ], ids=["conv", "conv_transpose"])
+    def test_layer_backward_forms_no_bias_gradient(self, monkeypatch, layer,
+                                                   shape):
+        bias_grads = []
+
+        def recording(op):
+            def recorded(*args, **kwargs):
+                result = op(*args, **kwargs)
+                bias_grads.append(result[2])
+                return result
+            return recorded
+
+        for name in ("conv2d_backward", "conv_grads",
+                     "conv_transpose2d_backward"):
+            monkeypatch.setattr(ops, name, recording(getattr(ops, name)))
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=shape)
+        runs = [{}]
+        if isinstance(layer, Conv2d):  # the transposed conv has no partial
+            runs += [{"params": False}, {"inputs": False}]
+        for flags in runs:
+            y = layer.forward(x)
+            layer.backward(rng.normal(size=y.shape), **flags)
+        assert bias_grads and all(gb is None for gb in bias_grads)
+        assert layer.b is None and layer.gb is None
+        assert [n for n, _ in layer.gradients()] == [f"{layer.name}.w"]
 
 
 class TestInstanceNorm:
