@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Tuple, TypedDict
 
 import numpy as np
-from scipy import ndimage
 
 
 class NormInfo(TypedDict, total=False):
@@ -110,6 +109,9 @@ def build_pairs(dataset, mode, ranges=None) -> Tuple[list, NormInfo]:
 def _rotate(grid, deg):
     if deg % 90 == 0:
         return np.rot90(grid, k=(deg // 90) % 4).copy()
+    # imported here, so that only augmentation pays for loading scipy.ndimage
+    from scipy import ndimage
+
     # bilinear about the center, reflect padding, same output size
     return ndimage.rotate(grid, deg, reshape=False, order=1, mode="reflect")
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Annotated
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .config import Range, check_fields
 from .image import PhaseMap
@@ -20,17 +19,39 @@ def _gaussian(size: int, sigma: float) -> np.ndarray:
     return np.exp(-(x ** 2) / (2.0 * sigma ** 2))
 
 
-def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    """Normalized 2D Gaussian window (weights sum to 1)."""
-    g = _gaussian(size, sigma)
-    win = np.outer(g, g)
-    return win / win.sum()
+def _correlate_valid(x, taps, count, axis):
+    """``scipy.ndimage.correlate1d(x, taps, axis)`` at the ``count`` window
+    positions that lie wholly inside ``x``, bitwise: the taps are applied
+    in correlate1d's own loop order, so every sum rounds the same way.  An
+    odd window's taps are exactly symmetric (``_gaussian`` spaces them
+    evenly about the center), which sends correlate1d down its symmetric
+    branch: it adds the two samples a tap weighs before multiplying.  Even
+    taps take its general branch, which starts from the last tap."""
+    def at(k):  # the sample k places into each window
+        return x[k:k + count] if axis == 0 else x[:, k:k + count]
+
+    n = len(taps)
+    if n % 2:
+        h = n // 2
+        out = at(h) * taps[h]
+        tmp = np.empty_like(out)
+        for k in range(h):
+            np.add(at(k), at(n - 1 - k), out=tmp)
+            tmp *= taps[k]
+            out += tmp
+        return out
+    out = at(n - 1) * taps[n - 1]
+    tmp = np.empty_like(out)
+    for k in range(n - 1):
+        np.multiply(at(k), taps[k], out=tmp)
+        out += tmp
+    return out
 
 
 @dataclass
 class SsimParams:
-    window_size: int = 11
-    sigma: float = 1.5
+    window_size: Annotated[int, Range(ge=1)] = 11
+    sigma: Annotated[float, Range(gt=0)] = 1.5
     k1: Annotated[float, Range(gt=0)] = 0.01
     k2: Annotated[float, Range(gt=0)] = 0.03
     dynamic_range: Annotated[float, Range(gt=0)] = 1.0
@@ -72,13 +93,12 @@ def ssim(a, b, params: SsimParams = None):
     taps /= taps.sum()
     rows = a.shape[0] - n + 1
     cols = a.shape[1] - n + 1
-    # correlate1d centers the taps on index n // 2, so the window starting
-    # at pixel i is reported at i + n // 2
-    half = n // 2
 
     def local_mean(x):
-        x = correlate1d(x, taps, axis=0)[half:half + rows]
-        return correlate1d(x, taps, axis=1)[:, half:half + cols]
+        # the axis-1 pass slices columns rather than transposing, so the
+        # map is C-contiguous and its mean sums in row-major order
+        return _correlate_valid(_correlate_valid(x, taps, rows, 0),
+                                taps, cols, 1)
 
     mu_a = local_mean(a)
     mu_b = local_mean(b)

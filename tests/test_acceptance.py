@@ -23,7 +23,6 @@ from psimlab.gan import (GanSpec, build_pairs, chain_infer_frames,
                          train)
 from psimlab.gan.data import PairedSample, normalize
 from psimlab.gan.models import PatchDiscriminator, UNetGenerator
-from psimlab.metrics import gaussian_window
 from psimlab.nn import (Conv2d, ConvTranspose2d, InstanceNorm, LeakyReLU,
                         ReLU, Sequential, Sigmoid, Tanh, grad_check, l2_loss,
                         ops)
@@ -216,9 +215,17 @@ def test_criterion_04_gradient_correctness():
 
 # ---------------------------------------------------------------- criterion 5
 
+def _gaussian_window(size, sigma):
+    half = (size - 1) / 2.0
+    x = np.arange(size, dtype=np.float64) - half
+    g = np.exp(-(x ** 2) / (2.0 * sigma ** 2))
+    win = np.outer(g, g)
+    return win / win.sum()
+
+
 def _brute_ssim_map(a, b, params):
     n = params.window_size
-    win = gaussian_window(n, params.sigma)
+    win = _gaussian_window(n, params.sigma)
     c1 = (params.k1 * params.dynamic_range) ** 2
     c2 = (params.k2 * params.dynamic_range) ** 2
     rows, cols = a.shape[0] - n + 1, a.shape[1] - n + 1

@@ -45,9 +45,14 @@ META = dict(spec=GanSpec(), step=0, seed=0, norm_info={}, g_opt_t=0,
     (SsimParams, {"dynamic_range": 0.0},
      "SsimParams.dynamic_range = 0.0 is not of type "
      "Annotated[float, Range(gt=0)]"),
+    (SsimParams, {"window_size": 0},
+     "SsimParams.window_size = 0 is not of type "
+     "Annotated[int, Range(ge=1)]"),
+    (SsimParams, {"sigma": 0.0},
+     "SsimParams.sigma = 0.0 is not of type Annotated[float, Range(gt=0)]"),
 ], ids=["source", "noise_sigma", "i_reference", "ridge_width", "blob_radius",
         "blob_peak", "train_fraction", "train_count", "beta2", "disc_base",
-        "g_opt_t", "dynamic_range"])
+        "g_opt_t", "dynamic_range", "window_size", "sigma"])
 def test_range_violation_names_record_field_value_and_bound(cls, kwargs,
                                                             message):
     with pytest.raises(ValueError) as exc:
@@ -89,7 +94,8 @@ def test_range_membership(bound, inside, outside):
     (PhaseObjectSpec, {"kind": "cell_blobs", "blobs": [(4.0, 4.0, 2.0)]},
      "PhaseObjectSpec.blobs"),
     (SsimParams, {"window_size": 7.5},
-     "SsimParams.window_size = 7.5 is not of type int"),
+     "SsimParams.window_size = 7.5 is not of type "
+     "Annotated[int, Range(ge=1)]"),
     # the U-Net always has its skips; 1 and 1.0 equal True but are no bool
     (GanSpec, {"skips": False},
      "GanSpec.skips = False is not of type Literal[True]"),

@@ -1,7 +1,7 @@
 """Source hygiene: every module of the package uses each name it imports,
 every function, class and method it defines is named somewhere else, the
-README's Layout names every module, and every name the benchmark's tracer
-patches still exists.
+README's Layout names every module, every name the benchmark's tracer
+patches still exists, and importing the package loads no scipy.ndimage.
 
 Package ``__init__`` files are left out: they import names to re-export
 them, and a re-export is not a use.
@@ -10,7 +10,10 @@ them, and a re-export is not a use.
 import ast
 import importlib
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -107,6 +110,29 @@ def test_package_modules_are_found():
                          ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_only_rotation_loads_scipy_ndimage():
+    """Importing the package and its CLI leaves ``scipy.ndimage``, which
+    would be the largest import of every command, unloaded; the first
+    off-axis rotation of augmentation loads it.  A fresh interpreter, so
+    that no other test's imports count."""
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import psimlab, psimlab.cli\n"
+            "from psimlab.gan import rotations_12\n"
+            "from psimlab.gan.data import PairedSample\n"
+            "print('scipy.ndimage' in sys.modules)\n"
+            "z = np.zeros((8, 8))\n"
+            "rotations_12([PairedSample(z, z)])\n"
+            "print('scipy.ndimage' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]
 
 
 def test_benchmark_tracer_installs(monkeypatch):

@@ -2,15 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import correlate1d
 
 from psimlab import (DEFAULT_SHIFTS, ForwardModelSpec, Image,
                      InterferogramStack, PhaseMap, SsimParams,
                      align_global_offset, rms_error, ssim,
                      stitched_line_profile)
-from psimlab.metrics import (Profile, foreground_mask, gaussian_window,
+from psimlab.metrics import (Profile, _correlate_valid, foreground_mask,
                              masked_mean_ssim)
 
 TWO_PI = 2.0 * math.pi
+
+
+def gaussian(size, sigma):
+    """Unnormalized 1D Gaussian taps, evenly spaced about the center."""
+    half = (size - 1) / 2.0
+    x = np.arange(size, dtype=np.float64) - half
+    return np.exp(-(x ** 2) / (2.0 * sigma ** 2))
+
+
+def gaussian_window(size=11, sigma=1.5):
+    """Normalized 2D Gaussian window (weights sum to 1)."""
+    g = gaussian(size, sigma)
+    win = np.outer(g, g)
+    return win / win.sum()
 
 
 def brute_force_ssim(a, b, params):
@@ -232,3 +247,71 @@ class TestSsimEdgeCases:
         empty = np.zeros_like(mask)
         assert masked_mean_ssim(a, b, empty, params, ssim_map=ssim_map) == \
             ssim(a, b, params)[0]
+
+
+def correlate1d_ssim(a, b, params):
+    """SSIM as two ``scipy.ndimage.correlate1d`` passes per statistic,
+    cropped to the fully-valid windows, then ``ssim``'s score and map
+    formula: the reference its numpy passes must equal bit for bit."""
+    n = params.window_size
+    taps = gaussian(n, params.sigma)
+    taps /= taps.sum()
+    rows, cols = a.shape[0] - n + 1, a.shape[1] - n + 1
+    half = n // 2
+
+    def local_mean(x):
+        x = correlate1d(x, taps, axis=0)[half:half + rows]
+        return correlate1d(x, taps, axis=1)[:, half:half + cols]
+
+    mu_a, mu_b = local_mean(a), local_mean(b)
+    var_a = local_mean(a * a) - mu_a ** 2
+    var_b = local_mean(b * b) - mu_b ** 2
+    cov = local_mean(a * b) - mu_a * mu_b
+    c1 = (params.k1 * params.dynamic_range) ** 2
+    c2 = (params.k2 * params.dynamic_range) ** 2
+    ssim_map = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / \
+        ((mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2))
+    return float(ssim_map.mean()), ssim_map
+
+
+class TestPassesMatchCorrelate1d:
+    """The numpy Gaussian passes repeat ``correlate1d``'s loop order, so
+    their sums round alike: odd windows take its symmetric branch, even
+    windows its general one."""
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 7, 8, 11, 12])
+    @pytest.mark.parametrize("sigma", [0.5, 1.5, 4.0])
+    @pytest.mark.parametrize("shape", [(12, 12), (13, 29), (40, 17)])
+    def test_bitwise_equal(self, n, sigma, shape):
+        rng = np.random.default_rng(1000 * n + shape[0] + shape[1])
+        taps = gaussian(n, sigma)
+        taps /= taps.sum()
+        rows, cols = shape[0] - n + 1, shape[1] - n + 1
+        half = n // 2
+        for scale in (1e-2, 1.0, 1e3):
+            x = rng.normal(0, scale, shape) + scale
+            ours = _correlate_valid(x, taps, rows, 0)
+            theirs = correlate1d(x, taps, axis=0)[half:half + rows]
+            assert ours.tobytes() == theirs.tobytes()
+            ours = _correlate_valid(x, taps, cols, 1)
+            theirs = correlate1d(x, taps, axis=1)[:, half:half + cols]
+            assert ours.tobytes() == theirs.tobytes()
+            b = x + rng.normal(0, 0.3 * scale, shape)
+            params = SsimParams(window_size=n, sigma=sigma,
+                                dynamic_range=4.0 * scale)
+            score, ssim_map = ssim(x, b, params)
+            ref_score, ref_map = correlate1d_ssim(x, b, params)
+            assert ssim_map.flags.c_contiguous
+            assert ssim_map.tobytes() == ref_map.tobytes()
+            assert score == ref_score
+
+    def test_phase_pair_at_512(self):
+        rng = np.random.default_rng(21)
+        yy, xx = np.mgrid[0:512, 0:512] / 512.0
+        truth = 12.0 * np.exp(-((xx - 0.4) ** 2 + (yy - 0.6) ** 2) / 0.05)
+        pred = truth + rng.normal(0, 0.3, truth.shape)
+        params = SsimParams(dynamic_range=float(np.ptp(truth)))
+        score, ssim_map = ssim(pred, truth, params)
+        ref_score, ref_map = correlate1d_ssim(pred, truth, params)
+        assert ssim_map.tobytes() == ref_map.tobytes()
+        assert score == ref_score
