@@ -278,7 +278,7 @@ def cmd_train(args):
 def cmd_infer(args):
     timings = {}
     with _timed(timings, "load"):
-        state = load_gan(args.checkpoint)
+        state = load_gan(args.checkpoint, generator_only=True)
     if args.mode and args.mode != state.spec.mode:
         raise CliError(EXIT_MODE,
                        f"--mode {args.mode} != checkpoint mode {state.spec.mode}")

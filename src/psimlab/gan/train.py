@@ -47,7 +47,7 @@ class GanMeta:
 
     spec: GanSpec
     step: Annotated[int, Range(ge=0)]
-    seed: int
+    seed: Annotated[int, Range(ge=0)]
     norm_info: NormInfo
     g_opt_t: Annotated[int, Range(ge=0)]
     d_opt_t: Annotated[int, Range(ge=0)]
@@ -57,11 +57,14 @@ class GanMeta:
 
 @dataclass
 class GanState:
+    """A GAN and its training state; a state loaded for inference alone
+    holds no discriminator and no optimizers."""
+
     spec: GanSpec
     generator: UNetGenerator
-    discriminator: PatchDiscriminator
-    g_opt: AdamState
-    d_opt: AdamState
+    discriminator: PatchDiscriminator | None
+    g_opt: AdamState | None
+    d_opt: AdamState | None
     step: int = 0
     seed: int = 0
     norm_info: NormInfo = field(default_factory=NormInfo)
@@ -227,17 +230,55 @@ def infer_phase(state: GanState, i1: Image) -> PhaseMap:
     return PhaseMap(denormalize(out, *phase_range), wrapped=False)
 
 
-def _entries(state: GanState):
-    """Every parameter, then every Adam moment, in checkpoint order.  A
-    moment not made yet is made as zeros, as ``adam_step`` makes it."""
-    entries = state.generator.parameters() + state.discriminator.parameters()
-    for prefix, opt, net in (("opt.g", state.g_opt, state.generator),
-                             ("opt.d", state.d_opt, state.discriminator)):
-        for key, moments in (("m", opt.m), ("v", opt.v)):
-            entries += [(f"{prefix}.{key}.{name}",
-                         moments.setdefault(name, np.zeros_like(p)))
-                        for name, p in net.parameters()]
+def _layout(gen, disc, moment):
+    """Every parameter, then every Adam moment, in checkpoint order, as
+    (name, value).  ``gen`` and ``disc`` list each network's (name, value)
+    pairs, and ``moment(net, key, name, value)`` gives the value of the
+    moment ``key`` ("m" or "v") of parameter ``name`` of ``net`` ("g" or
+    "d")."""
+    entries = gen + disc
+    for net, params in (("g", gen), ("d", disc)):
+        for key in ("m", "v"):
+            entries += [(f"opt.{net}.{key}.{name}",
+                         moment(net, key, name, value))
+                        for name, value in params]
     return entries
+
+
+def _entries(state: GanState):
+    """Every parameter and Adam moment of ``state``, in checkpoint order.  A
+    moment not made yet is made as zeros, as ``adam_step`` makes it."""
+    opts = {"g": state.g_opt, "d": state.d_opt}
+
+    def moment(net, key, name, p):
+        return getattr(opts[net], key).setdefault(name, np.zeros_like(p))
+
+    return _layout(state.generator.parameters(),
+                   state.discriminator.parameters(), moment)
+
+
+class _NoDraws:
+    """An ``rng`` that draws nothing: each weight it gives is left unset,
+    for a network whose weights a checkpoint fills or whose parameters
+    are only named and shaped."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.empty(size)
+
+
+def _generator_plan(state: GanState):
+    """The destination of each checkpoint entry that a generator-only
+    ``state`` keeps, and the shape of each other entry: its parameter's."""
+    def shapes(params):
+        return [(name, p.shape) for name, p in params]
+
+    disc = PatchDiscriminator(blocks=state.spec.disc_blocks,
+                              base=state.spec.disc_base, rng=_NoDraws())
+    gen = state.generator.parameters()
+    layout = _layout(shapes(gen), shapes(disc.parameters()),
+                     lambda net, key, name, shape: shape)
+    return dict(layout) | dict(gen)
 
 
 def save_gan(path, state: GanState):
@@ -246,31 +287,41 @@ def save_gan(path, state: GanState):
     save_checkpoint(path, _entries(state), asdict(meta))
 
 
-def load_gan(path) -> GanState:
+def load_gan(path, generator_only=False) -> GanState:
     """Restore a state written by ``save_gan``.
 
-    A checkpoint that passes its integrity checks but whose meta does not
-    fit ``GanMeta`` or whose ``norm_info`` mode is not the spec's, or whose
+    With ``generator_only`` the state holds what inference runs: the
+    generator, and no discriminator, optimizers or moments (``None``).
+    The other entries are still hashed and checked for their shape and
+    finiteness, so both loads reject the same checkpoints.  A checkpoint
+    that passes its integrity checks but whose meta does not fit
+    ``GanMeta`` or whose ``norm_info`` mode is not the spec's, or whose
     parameters or moments are missing, not finite or shaped for another
     architecture, raises ``CheckpointError``.
     """
-    entries, meta = load_checkpoint(path)
-    stored = dict(entries)
-    try:
-        meta = GanMeta(**meta)
-        if meta.norm_info.get("mode", meta.spec.mode) != meta.spec.mode:
-            raise ValueError("norm_info mode differs from the spec's")
-        state = init_gan(meta.spec, seed=meta.seed, norm_info=meta.norm_info)
+    state = None
+
+    def plan(meta):
+        nonlocal state
+        try:
+            meta = GanMeta(**meta)
+            if meta.norm_info.get("mode", meta.spec.mode) != meta.spec.mode:
+                raise ValueError("norm_info mode differs from the spec's")
+            if generator_only:
+                gen = UNetGenerator(meta.spec.depth, meta.spec.base,
+                                    rng=_NoDraws())
+                state = GanState(meta.spec, gen, None, None, None,
+                                 seed=meta.seed, norm_info=meta.norm_info)
+            else:
+                state = init_gan(meta.spec, seed=meta.seed,
+                                 norm_info=meta.norm_info)
+                state.g_opt.t, state.d_opt.t = meta.g_opt_t, meta.d_opt_t
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path}: not a checkpoint of this GAN: {exc!r}") from None
         state.step = meta.step
-        state.g_opt.t, state.d_opt.t = meta.g_opt_t, meta.d_opt_t
-        for name, dst in _entries(state):
-            if stored[name].shape != dst.shape:
-                raise ValueError(f"{name} has shape {stored[name].shape}, "
-                                 f"expected {dst.shape}")
-            if not np.isfinite(stored[name]).all():
-                raise ValueError(f"{name} is not finite")
-            dst[...] = stored[name]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"{path}: not a checkpoint of this GAN: {exc!r}") from None
+        return _generator_plan(state) if generator_only else \
+            dict(_entries(state))
+
+    load_checkpoint(path, plan)
     return state

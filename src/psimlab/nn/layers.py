@@ -68,7 +68,9 @@ class _Conv(Layer):
         rng = rng or np.random.default_rng(0)
         layout = (in_ch, out_ch) if self.transposed else (out_ch, in_ch)
         self.w = rng.normal(0.0, WEIGHT_INIT_SIGMA, layout + (kernel, kernel))
-        self.gw = np.zeros_like(self.w)
+        # np.zeros writes no page, so a network that only infers keeps
+        # these out of memory
+        self.gw = np.zeros(self.w.shape)
         # bias=False for convs feeding a normalization layer, where a bias
         # would be cancelled exactly and its gradient structurally zero:
         # the ops then neither add one nor form its gradient

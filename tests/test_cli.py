@@ -524,14 +524,14 @@ class TestTrainInfer:
     @pytest.mark.parametrize("command", ["infer", "train"])
     @pytest.mark.parametrize("key,value", [
         ("step", "1"), ("step", 1.5), ("g_opt_t", "1"), ("norm_info", []),
-        ("d_opt_t", -1), ("seed", True), ("unknown", 0),
+        ("d_opt_t", -1), ("seed", True), ("seed", -1), ("unknown", 0),
         ("norm_info.intensity_range", "ab"),
         ("norm_info.intensity_range", [1.0]),
         ("norm_info.intensity_range", [1.0, "x"]),
         ("norm_info.intensity_range", [1.0, math.nan]),
         ("norm_info.intensity_range", None),
     ], ids=["step_string", "step_float", "g_opt_t_string", "norm_info_list",
-            "negative_d_opt_t", "seed_bool", "unknown_key",
+            "negative_d_opt_t", "seed_bool", "negative_seed", "unknown_key",
             "intensity_range_string", "intensity_range_one_number",
             "intensity_range_string_item", "intensity_range_nan",
             "intensity_range_null"])
@@ -549,7 +549,12 @@ class TestTrainInfer:
         lambda entries, meta: entries[:3],
         lambda entries, meta: [(n, p.reshape(-1)[:1]) if i == 0 else (n, p)
                                for i, (n, p) in enumerate(entries)],
-    ], ids=["first_three_params", "misshapen_param"])
+        # the last entry is a discriminator moment, which infer does not keep
+        lambda entries, meta: entries[:-1] + [
+            (entries[-1][0], np.append(entries[-1][1], 0.0))],
+        lambda entries, meta: entries[:-1],
+    ], ids=["first_three_params", "misshapen_param", "misshapen_last_moment",
+            "no_last_moment"])
     def test_checkpoint_of_other_architecture_exits_6(self, command, edit,
                                                       sim_dir, tmp_path):
         ckpt = self.resaved_checkpoint(sim_dir, tmp_path, edit)
@@ -559,7 +564,9 @@ class TestTrainInfer:
     @pytest.mark.parametrize("prefix,value", [
         ("g_head.", math.nan), ("g_head.", math.inf),
         ("opt.g.v.", math.nan), ("opt.g.v.", math.inf),
-    ], ids=["nan_weight", "inf_weight", "nan_moment", "inf_moment"])
+        ("d.", math.nan), ("opt.d.m.", math.inf),
+    ], ids=["nan_weight", "inf_weight", "nan_moment", "inf_moment",
+            "nan_disc_weight", "inf_disc_moment"])
     def test_non_finite_checkpoint_array_exits_6(self, command, prefix, value,
                                                  sim_dir, tmp_path):
         def poison(entries, meta):
@@ -1128,6 +1135,28 @@ def test_checkpoint_spec_outside_its_range_exits_6(command, fuzz_root,
                                           {"spec": TINY_SPEC, "steps": 1})]
     assert main(argv) == 6
     assert "GanSpec.beta1 = 1.0" in caplog.text
+
+
+@pytest.mark.parametrize("entry", [
+    lambda n: {"shape": [2.5]},
+    lambda n: {"shape": ["a"]},
+    lambda n: {"shape": [-1, -n]},  # the product matches the blob
+    lambda n: {"shape": [True, n]},
+    lambda n: {"name": ["g"]},
+], ids=["float_side", "string_side", "negative_sides", "bool_side",
+        "list_name"])
+def test_malformed_checkpoint_header_exits_6(entry, fuzz_root, sim_dir,
+                                              tmp_path):
+    raw = (fuzz_root / "run" / "checkpoint.ckpt").read_bytes()
+    hlen = int.from_bytes(raw[:8], "little")
+    header = json.loads(raw[8:8 + hlen])
+    first = header["params"][0]
+    first.update(entry(math.prod(first["shape"])))
+    head = json.dumps(header).encode()
+    ckpt = tmp_path / "c.ckpt"
+    ckpt.write_bytes(len(head).to_bytes(8, "little") + head + raw[8 + hlen:])
+    assert main(["infer", "--checkpoint", str(ckpt), "--data", str(sim_dir),
+                 "--out", str(tmp_path / "o")]) == 6
 
 
 class TestNonFiniteResultExits4:

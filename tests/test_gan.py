@@ -434,6 +434,21 @@ class TestTraining:
             train_step(state, pairs)
         assert traced_peak(train_step, state, pairs) <= 34e6
 
+    def test_paper_config_load_memory_is_bounded(self, tmp_path):
+        # the 10.5 MB checkpoint streams: each kept array is read straight
+        # into its parameter or moment, and inference keeps the generator
+        # alone (3.2 MB, and its gradient buffers).  Reading the whole
+        # blob and copying each array out peaked at 23.5 MB
+        path = tmp_path / "gan.ckpt"
+        save_gan(path, init_gan(GanSpec(), seed=0))
+        loaded = []
+        assert traced_peak(lambda: loaded.append(
+            load_gan(path, generator_only=True))) <= 9e6
+        assert traced_peak(load_gan, path) <= 16e6
+        state = loaded[0]
+        assert state.discriminator is None
+        assert state.g_opt is None and state.d_opt is None
+
 
 class TestInference:
     def test_chain_identity_generator(self):
@@ -547,6 +562,31 @@ class TestCheckpointing:
         for (n, a), (_, b) in zip(state.generator.parameters(),
                                   back.generator.parameters()):
             assert np.array_equal(a, b), n
+
+    @pytest.mark.parametrize("mode", ["phase", "frames"])
+    def test_generator_only_load_infers_bitwise_as_the_full_load(
+            self, mode, tmp_path):
+        dataset = tiny_dataset(3, seed=4)
+        pairs, info = build_pairs(dataset, mode)
+        state = train(init_gan(tiny_spec(mode), seed=1, norm_info=info),
+                      pairs, 3)
+        path = tmp_path / "gan.ckpt"
+        save_gan(path, state)
+        full, alone = load_gan(path), load_gan(path, generator_only=True)
+        assert alone.discriminator is None and alone.g_opt is None
+        assert (alone.spec, alone.step, alone.seed, alone.norm_info) == \
+            (full.spec, full.step, full.seed, full.norm_info)
+        for (n, a), (m, b) in zip(full.generator.parameters(),
+                                  alone.generator.parameters(),
+                                  strict=True):
+            assert n == m and a.tobytes() == b.tobytes(), n
+        i1 = dataset[0][0].frames[0]
+        if mode == "phase":
+            outs = [infer_phase(s, i1).data for s in (full, alone)]
+        else:
+            outs = [np.stack([f.data for f in chain_infer_frames(s, i1)[0]])
+                    for s in (full, alone)]
+        assert outs[0].tobytes() == outs[1].tobytes()
 
     def test_paper_config_save_streams(self, tmp_path):
         # 10.5 MB of parameters and moments are hashed and written array by

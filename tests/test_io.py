@@ -7,7 +7,8 @@ import pytest
 from psimlab import Image, PhaseMap
 from psimlab import io
 from psimlab.metrics import Profile
-from psimlab.nn import (CheckpointError, load_checkpoint, save_checkpoint)
+from psimlab.nn import (CheckpointError, checkpoint, load_checkpoint,
+                        save_checkpoint)
 
 
 class TestPfm:
@@ -112,6 +113,16 @@ class TestCheckpoint:
         raw = json.dumps(header).encode()
         return len(raw).to_bytes(8, "little") + raw
 
+    @staticmethod
+    def reheadered(raw, extra=None, **first):
+        """``raw`` with ``first`` set in its first header entry and the entry
+        ``extra`` added, the blob kept."""
+        hlen = int.from_bytes(raw[:8], "little")
+        header = json.loads(raw[8:8 + hlen])
+        header["params"][0].update(first)
+        header["params"] += [extra] if extra else []
+        return TestCheckpoint.framed(header) + raw[8 + hlen:]
+
     @pytest.mark.parametrize("mangle", [
         lambda raw: raw[:5],  # short length prefix
         lambda raw: raw[:40],  # short header
@@ -123,6 +134,18 @@ class TestCheckpoint:
         lambda raw: TestCheckpoint.framed(
             {"format": "psimlab-checkpoint-v1", "meta": {},
              "blob_sha256": "", "params": [{"shape": [2]}]}),
+        lambda raw: TestCheckpoint.reheadered(raw, shape=[2.5]),
+        lambda raw: TestCheckpoint.reheadered(raw, shape=["a"]),
+        # the product matches the blob
+        lambda raw: TestCheckpoint.reheadered(raw, shape=[-1, -6]),
+        lambda raw: TestCheckpoint.reheadered(raw, shape=[True, 6]),
+        lambda raw: TestCheckpoint.reheadered(raw, shape=6),
+        # an empty entry whose shape numpy cannot hold
+        lambda raw: TestCheckpoint.reheadered(
+            raw, extra={"name": "z", "shape": [0, 2 ** 62, 4]}),
+        lambda raw: TestCheckpoint.reheadered(raw, name=7),
+        lambda raw: TestCheckpoint.reheadered(raw, name=["a.w"]),
+        lambda raw: raw + b"\0" * 8,  # one array more than the header
     ])
     def test_malformed_header_raises_checkpoint_error(self, tmp_path, mangle):
         path = tmp_path / "c.ckpt"
@@ -130,6 +153,65 @@ class TestCheckpoint:
         path.write_bytes(mangle(path.read_bytes()))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_plan_reads_into_its_arrays_and_checks_the_rest(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        params = self.params()
+        save_checkpoint(path, params, meta={"step": 5})
+        dst = np.empty((2, 3))
+        seen = []
+
+        def plan(meta):
+            seen.append(meta)
+            return {"a.w": dst, "a.b": (3,)}
+
+        kept, meta = load_checkpoint(path, plan)
+        assert seen == [meta] == [{"step": 5}]
+        assert len(kept) == 1 and kept[0][0] == "a.w" and kept[0][1] is dst
+        assert np.array_equal(dst, params[0][1])
+
+    @pytest.mark.parametrize("plan,match", [
+        ({"a.w": np.empty((2, 3)), "a.c": (3,)}, "no entry 'a.c'"),
+        ({"a.w": np.empty((3, 2))}, "a.w has shape"),
+        ({"a.b": (1, 3)}, "a.b has shape"),
+    ])
+    def test_plan_that_does_not_fit_raises_checkpoint_error(
+            self, tmp_path, plan, match):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, self.params())
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path, lambda meta: plan)
+
+    @pytest.mark.parametrize("plan", [None, lambda meta: {"a.w": (2, 3)}],
+                             ids=["kept", "skipped"])
+    def test_array_not_finite_raises_once_the_hash_checks_out(
+            self, tmp_path, plan):
+        path = tmp_path / "c.ckpt"
+        params = self.params()
+        params[0][1][1, 2] = np.inf
+        save_checkpoint(path, params)
+        with pytest.raises(CheckpointError, match="a.w is not finite"):
+            load_checkpoint(path, plan)
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="hash"):
+            load_checkpoint(path, plan)
+
+    def test_skipped_arrays_stream_through_one_buffer(self, tmp_path,
+                                                      monkeypatch):
+        # arrays larger than the buffer are read in several pieces, all
+        # hashed and checked
+        monkeypatch.setattr(checkpoint, "SKIP_BUFFER_BYTES", 64)
+        path = tmp_path / "c.ckpt"
+        big = np.random.default_rng(2).normal(size=(5, 7))
+        save_checkpoint(path, [("big", big), ("tail", np.ones(9))])
+        kept, _ = load_checkpoint(path, lambda meta: {"tail": np.empty(9)})
+        assert [name for name, _ in kept] == ["tail"]
+        big[4, 6] = np.nan
+        save_checkpoint(path, [("big", big), ("tail", np.ones(9))])
+        with pytest.raises(CheckpointError, match="big is not finite"):
+            load_checkpoint(path, lambda meta: {"big": (5, 7)})
 
     def test_bytes_equal_the_joined_blob_writer(self, tmp_path):
         def joined(path, params, meta):
