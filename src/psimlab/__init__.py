@@ -3,12 +3,12 @@ five-step reconstruction and a toy single-shot conditional GAN."""
 
 __version__ = "0.1.0"
 
-from .image import Image, PhaseMap, wrap_to_pi
+from .image import Image, PhaseMap
 from .simulate import (DEFAULT_SHIFTS, ForwardModelSpec, InterferogramStack,
                        PhaseObjectSpec, SourceSpec, coherence_envelope,
                        make_phase_object, simulate_frame, simulate_stack,
                        synth_dataset)
-from .reconstruct import (HeightMap, QualityMap, five_step_wrapped_phase,
+from .reconstruct import (QualityMap, five_step_wrapped_phase,
                           modulation_amplitude, phase_to_height,
                           reconstruct_stack, unwrap_phase)
 from .metrics import (Profile, SsimParams, align_global_offset,
@@ -16,10 +16,10 @@ from .metrics import (Profile, SsimParams, align_global_offset,
                       stitched_line_profile)
 
 __all__ = [
-    "Image", "PhaseMap", "wrap_to_pi", "DEFAULT_SHIFTS", "ForwardModelSpec",
+    "Image", "PhaseMap", "DEFAULT_SHIFTS", "ForwardModelSpec",
     "InterferogramStack", "PhaseObjectSpec", "SourceSpec",
     "coherence_envelope", "make_phase_object", "simulate_frame",
-    "simulate_stack", "synth_dataset", "HeightMap", "QualityMap",
+    "simulate_stack", "synth_dataset", "QualityMap",
     "five_step_wrapped_phase", "modulation_amplitude", "phase_to_height",
     "reconstruct_stack", "unwrap_phase", "Profile", "SsimParams",
     "align_global_offset", "foreground_mask", "masked_mean_ssim",

@@ -294,7 +294,7 @@ def cmd_infer(args):
         dest.mkdir(exist_ok=True)
         if state.spec.mode == "frames":
             with _timed(timings, "compute"):
-                frames, _ = chain_infer_frames(state, i1)
+                frames = chain_infer_frames(state, i1)
             with _timed(timings, "io"):
                 io.save_image(dest / "frame_1.pfm", i1)
                 for k, frame in enumerate(frames, start=2):
@@ -341,8 +341,7 @@ def cmd_eval(args):
             score, ssim_map = ssim(aligned.data, truth.data, params)
             mask = foreground_mask(truth)
             entry["ssim_full"] = score
-            entry["ssim_foreground"] = masked_mean_ssim(
-                aligned.data, truth.data, mask, params, ssim_map=ssim_map)
+            entry["ssim_foreground"] = masked_mean_ssim(ssim_map, mask, params)
             entry["rms"] = rms_error(aligned.data, truth.data)
 
         with _timed(timings, "io"):

@@ -13,7 +13,6 @@ from ..nn.adam import AdamState, adam_step
 from ..nn.checkpoint import (CheckpointError, load_checkpoint,
                              save_checkpoint)
 from ..nn.ops import NumericError, sigmoid_forward
-from ..simulate import DEFAULT_SHIFTS, ForwardModelSpec, InterferogramStack
 from .data import NormInfo, denormalize, normalize
 from .models import PatchDiscriminator, UNetGenerator
 
@@ -203,7 +202,7 @@ def chain_infer_frames(state: GanState, i1: Image, generator_fn=None):
 
     ``generator_fn`` (normalized grid -> normalized grid) can replace the
     trained network, e.g. with an analytic advance oracle, to validate the
-    chaining plumbing.  Returns (list of four Images, assembled stack).
+    chaining plumbing.  Returns the four predicted frames as Images.
     """
     if state.spec.mode != "frames":
         raise ValueError("chain inference requires a frames-mode model")
@@ -211,13 +210,11 @@ def chain_infer_frames(state: GanState, i1: Image, generator_fn=None):
     fn = generator_fn or (lambda g: generator_apply(state, g))
 
     current = normalize(i1.data, lo, hi)
-    frames = [i1]
+    frames = []
     for _ in range(4):
         current = fn(current)
         frames.append(Image(denormalize(current, lo, hi)))
-    stack = InterferogramStack(frames, DEFAULT_SHIFTS,
-                               ForwardModelSpec(), seed=None)
-    return frames[1:], stack
+    return frames
 
 
 def infer_phase(state: GanState, i1: Image) -> PhaseMap:
@@ -259,26 +256,11 @@ def _entries(state: GanState):
 
 class _NoDraws:
     """An ``rng`` that draws nothing: each weight it gives is left unset,
-    for a network whose weights a checkpoint fills or whose parameters
-    are only named and shaped."""
+    for a network whose weights a checkpoint fills."""
 
     @staticmethod
     def normal(loc, scale, size):
         return np.empty(size)
-
-
-def _generator_plan(state: GanState):
-    """The destination of each checkpoint entry that a generator-only
-    ``state`` keeps, and the shape of each other entry: its parameter's."""
-    def shapes(params):
-        return [(name, p.shape) for name, p in params]
-
-    disc = PatchDiscriminator(blocks=state.spec.disc_blocks,
-                              base=state.spec.disc_base, rng=_NoDraws())
-    gen = state.generator.parameters()
-    layout = _layout(shapes(gen), shapes(disc.parameters()),
-                     lambda net, key, name, shape: shape)
-    return dict(layout) | dict(gen)
 
 
 def save_gan(path, state: GanState):
@@ -290,8 +272,9 @@ def save_gan(path, state: GanState):
 def load_gan(path, generator_only=False) -> GanState:
     """Restore a state written by ``save_gan``.
 
-    With ``generator_only`` the state holds what inference runs: the
-    generator, and no discriminator, optimizers or moments (``None``).
+    Both networks are built unset and the read fills them, so no weight is
+    drawn.  With ``generator_only`` the state holds what inference runs:
+    the generator, and no discriminator, optimizers or moments (``None``).
     The other entries are still hashed and checked for their shape and
     finiteness, so both loads reject the same checkpoints.  A checkpoint
     that passes its integrity checks but whose meta does not fit
@@ -305,23 +288,30 @@ def load_gan(path, generator_only=False) -> GanState:
         nonlocal state
         try:
             meta = GanMeta(**meta)
-            if meta.norm_info.get("mode", meta.spec.mode) != meta.spec.mode:
+            spec = meta.spec
+            if meta.norm_info.get("mode", spec.mode) != spec.mode:
                 raise ValueError("norm_info mode differs from the spec's")
-            if generator_only:
-                gen = UNetGenerator(meta.spec.depth, meta.spec.base,
-                                    rng=_NoDraws())
-                state = GanState(meta.spec, gen, None, None, None,
-                                 seed=meta.seed, norm_info=meta.norm_info)
-            else:
-                state = init_gan(meta.spec, seed=meta.seed,
-                                 norm_info=meta.norm_info)
-                state.g_opt.t, state.d_opt.t = meta.g_opt_t, meta.d_opt_t
+            gen = UNetGenerator(spec.depth, spec.base, rng=_NoDraws())
+            disc = PatchDiscriminator(blocks=spec.disc_blocks,
+                                      base=spec.disc_base, rng=_NoDraws())
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"{path}: not a checkpoint of this GAN: {exc!r}") from None
-        state.step = meta.step
-        return _generator_plan(state) if generator_only else \
-            dict(_entries(state))
+        if generator_only:
+            state = GanState(spec, gen, None, None, None, step=meta.step,
+                             seed=meta.seed, norm_info=meta.norm_info)
+            # a generator parameter is read into place, and every other
+            # entry is checked against its parameter's shape and dropped
+            shapes = [[(name, p.shape) for name, p in net.parameters()]
+                      for net in (gen, disc)]
+            layout = _layout(*shapes, lambda net, key, name, shape: shape)
+            return dict(layout) | dict(gen.parameters())
+        state = GanState(
+            spec, gen, disc,
+            AdamState(spec.lr, spec.beta1, spec.beta2, t=meta.g_opt_t),
+            AdamState(spec.lr, spec.beta1, spec.beta2, t=meta.d_opt_t),
+            step=meta.step, seed=meta.seed, norm_info=meta.norm_info)
+        return dict(_entries(state))
 
     load_checkpoint(path, plan)
     return state

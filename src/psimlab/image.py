@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
-
 
 @dataclass
 class Image:
@@ -54,10 +52,3 @@ class PhaseMap(Image):
             if np.any(self.data <= -np.pi) or np.any(self.data > np.pi):
                 raise ValueError("wrapped phase must lie in (-pi, pi]")
 
-
-def wrap_to_pi(x):
-    """Wrap angles to the interval (-pi, pi]."""
-    x = np.asarray(x, dtype=np.float64)
-    wrapped = x - TWO_PI * np.round(x / TWO_PI)
-    # round() sends exactly-pi values to -pi; fold them back
-    return np.where(wrapped <= -np.pi, wrapped + TWO_PI, wrapped)

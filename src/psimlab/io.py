@@ -110,16 +110,3 @@ def write_profile_csv(path, profile: Profile):
                 fh.write(f"# segment={segment}\n")
             fh.write(f"{i},{float(v)!r}\n")
 
-
-def read_profile_csv(path) -> Profile:
-    values = []
-    boundaries = []
-    with open(path) as fh:
-        next(fh)  # header
-        for line in fh:
-            if line.startswith("# segment="):
-                boundaries.append(len(values))
-                continue
-            _, v = line.rstrip("\n").split(",")
-            values.append(float(v))
-    return Profile(np.array(values), tuple(boundaries))

@@ -153,15 +153,11 @@ def foreground_mask(truth: PhaseMap, fraction: float = 0.05) -> np.ndarray:
     return (t - lo) > fraction * span
 
 
-def masked_mean_ssim(a, b, mask: np.ndarray, params: SsimParams = None,
-                     ssim_map: np.ndarray = None) -> float:
-    """Mean SSIM over windows whose center pixel is in the mask.
-
-    ``ssim_map`` is the map ``ssim(a, b, params)`` returns, when the caller
-    has computed it already.
-    """
-    if ssim_map is None:
-        _, ssim_map = ssim(a, b, params)
+def masked_mean_ssim(ssim_map: np.ndarray, mask: np.ndarray,
+                     params: SsimParams = None) -> float:
+    """Mean of ``ssim_map``, the map ``ssim(a, b, params)`` returns, over
+    the windows whose center pixel is in the mask; over every window when
+    no center is."""
     params = params or SsimParams()
     half = params.window_size // 2
     centers = mask[half:half + ssim_map.shape[0], half:half + ssim_map.shape[1]]

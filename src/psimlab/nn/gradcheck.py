@@ -40,9 +40,3 @@ def l2_loss(target):
         return 0.5 * float(np.sum(diff * diff)), diff
     return fn
 
-
-def l1_loss(target):
-    def fn(y):
-        diff = y - target
-        return float(np.sum(np.abs(diff))), np.sign(diff)
-    return fn

@@ -27,8 +27,11 @@ class QualityMap(Image):
             raise ValueError("quality map must be >= 0")
 
 
-class HeightMap(Image):
-    """Surface height in nm."""
+def _quadrature(stack: InterferogramStack):
+    """The five-step quadrature pair (2(I2 - I4), 2 I3 - I1 - I5), which
+    the wrapped phase and the modulation both read."""
+    i1, i2, i3, i4, i5 = (f.data for f in stack.frames)
+    return 2.0 * (i2 - i4), 2.0 * i3 - i1 - i5
 
 
 def five_step_wrapped_phase(stack: InterferogramStack) -> PhaseMap:
@@ -40,9 +43,7 @@ def five_step_wrapped_phase(stack: InterferogramStack) -> PhaseMap:
     (-pi, -pi/2, 0, pi/2, pi) schedule.  Pixels with zero modulation
     (numerator = denominator = 0) get phi = 0.
     """
-    i1, i2, i3, i4, i5 = (f.data for f in stack.frames)
-    num = 2.0 * (i2 - i4)
-    den = 2.0 * i3 - i1 - i5
+    num, den = _quadrature(stack)
     phi = np.arctan2(num, den)
     phi[(num == 0.0) & (den == 0.0)] = 0.0
     # atan2 returns [-pi, pi]; fold -pi onto +pi to keep the (-pi, pi] contract
@@ -52,9 +53,7 @@ def five_step_wrapped_phase(stack: InterferogramStack) -> PhaseMap:
 
 def modulation_amplitude(stack: InterferogramStack) -> QualityMap:
     """Fringe modulation B = sqrt((2(I2 - I4))^2 + (2 I3 - I1 - I5)^2) / 4."""
-    i1, i2, i3, i4, i5 = (f.data for f in stack.frames)
-    num = 2.0 * (i2 - i4)
-    den = 2.0 * i3 - i1 - i5
+    num, den = _quadrature(stack)
     return QualityMap(0.25 * np.hypot(num, den))
 
 
@@ -239,11 +238,11 @@ def _references(popped, q, stride):
     return t_ref
 
 
-def phase_to_height(phase: PhaseMap, lambda0: float) -> HeightMap:
+def phase_to_height(phase: PhaseMap, lambda0: float) -> Image:
     """Reflection-mode conversion h = lambda0 * phi / (4 pi), nm."""
     if phase.wrapped:
         raise ValueError("phase must be unwrapped before height conversion")
-    return HeightMap(lambda0 * phase.data / (4.0 * math.pi))
+    return Image(lambda0 * phase.data / (4.0 * math.pi))
 
 
 def reconstruct_stack(stack: InterferogramStack, lambda0: float = None):

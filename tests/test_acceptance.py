@@ -16,8 +16,7 @@ import time
 import numpy as np
 
 from psimlab import (ForwardModelSpec, PhaseMap, SsimParams,
-                     align_global_offset, rms_error, ssim, synth_dataset,
-                     wrap_to_pi)
+                     align_global_offset, rms_error, ssim, synth_dataset)
 from psimlab.gan import (GanSpec, build_pairs, chain_infer_frames,
                          infer_phase, init_gan, rotations_12, split_dataset,
                          train)
@@ -27,6 +26,8 @@ from psimlab.nn import (Conv2d, ConvTranspose2d, InstanceNorm, LeakyReLU,
                         ReLU, Sequential, Sigmoid, Tanh, grad_check, l2_loss,
                         ops)
 from psimlab.reconstruct import five_step_wrapped_phase, reconstruct_stack
+
+from helpers import chained_stack, wrap_to_pi
 
 C7_STEPS = 1500
 C8_STEPS = 2500
@@ -344,8 +345,8 @@ def test_criterion_08_frame_chaining():
         cursor["k"] += 1
         return normalize(stack.frames[cursor["k"]].data, lo, hi)
 
-    _, chained = chain_infer_frames(state, stack.frames[0],
-                                    generator_fn=oracle)
+    chained = chained_stack(stack.frames[0], chain_infer_frames(
+        state, stack.frames[0], generator_fn=oracle))
     _, _, oracle_unwrapped, _ = reconstruct_stack(chained)
     _, _, classical_unwrapped, _ = reconstruct_stack(stack)
     oracle_err = rms_error(
@@ -357,7 +358,8 @@ def test_criterion_08_frame_chaining():
     hop_l1 = np.zeros(4)
     scores = []
     for stack, _ in test_set:
-        frames, chained = chain_infer_frames(state, stack.frames[0])
+        frames = chain_infer_frames(state, stack.frames[0])
+        chained = chained_stack(stack.frames[0], frames)
         hop_l1 += [float(np.mean(np.abs(f.data - t.data)))
                    for f, t in zip(frames, stack.frames[1:])]
         _, _, unwrapped, _ = reconstruct_stack(chained)

@@ -23,6 +23,8 @@ from psimlab.metrics import (SsimParams, align_global_offset, foreground_mask,
                              masked_mean_ssim, rms_error, ssim)
 from psimlab.nn.checkpoint import load_checkpoint, save_checkpoint
 
+from helpers import read_profile_csv
+
 ROOT = Path(__file__).resolve().parents[1]
 TINY_SPEC = {"mode": "phase", "depth": 2, "base": 4,
              "disc_blocks": 2, "disc_base": 4, "image_side": 16}
@@ -698,7 +700,7 @@ class TestEval:
         ev = tmp_path / "eval"
         assert main(["eval", "--data", str(data), "--pred", str(pred),
                      "--out", str(ev), "--profile-row", "3"]) == 0
-        profile = io.read_profile_csv(ev / "sample_00000_profile.csv")
+        profile = read_profile_csv(ev / "sample_00000_profile.csv")
         assert len(profile.values) == 1280
         assert profile.boundaries == (256, 512, 768, 1024)
 
@@ -744,7 +746,7 @@ class TestEval:
             mask = foreground_mask(truth)
             assert entry["ssim_full"] == ssim(aligned, truth.data, params)[0]
             assert entry["ssim_foreground"] == masked_mean_ssim(
-                aligned, truth.data, mask, params)
+                ssim(aligned, truth.data, params)[1], mask, params)
             assert entry["rms"] == rms_error(aligned, truth.data)
 
 

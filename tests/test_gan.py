@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -17,6 +18,8 @@ from psimlab.nn import adam_step, ops, save_checkpoint
 from psimlab.nn.layers import Conv2d, ConvTranspose2d, InstanceNorm
 from psimlab.reconstruct import (five_step_wrapped_phase,
                                  modulation_amplitude, unwrap_phase)
+
+from helpers import chained_stack
 
 LN2 = math.log(2.0)
 
@@ -455,8 +458,8 @@ class TestInference:
         state = init_gan(tiny_spec("frames"), seed=0,
                          norm_info={"intensity_range": (0.0, 4.0)})
         i1 = Image(np.random.default_rng(0).uniform(0, 4, (16, 16)))
-        frames, stack = chain_infer_frames(state, i1,
-                                           generator_fn=lambda g: g)
+        frames = chain_infer_frames(state, i1, generator_fn=lambda g: g)
+        stack = chained_stack(i1, frames)
         assert len(frames) == 4
         for f in frames:
             assert np.max(np.abs(f.data - i1.data)) < 1e-12
@@ -479,8 +482,9 @@ class TestInference:
 
         state = init_gan(tiny_spec("frames"), seed=0,
                          norm_info={"intensity_range": (lo, hi)})
-        frames, chained = chain_infer_frames(state, stack.frames[0],
-                                             generator_fn=oracle)
+        frames = chain_infer_frames(state, stack.frames[0],
+                                    generator_fn=oracle)
+        chained = chained_stack(stack.frames[0], frames)
         for pred, true in zip(frames, truth_frames[1:]):
             assert np.max(np.abs(pred.data - true)) < 1e-9
 
@@ -563,6 +567,32 @@ class TestCheckpointing:
                                   back.generator.parameters()):
             assert np.array_equal(a, b), n
 
+    def test_full_load_initializes_no_gan(self, tmp_path, monkeypatch):
+        # both networks are built unset and the read fills them: no weight
+        # is drawn only to be overwritten
+        pairs = random_pairs(4, seed=8)
+        state = train(init_gan(tiny_spec("frames"), seed=5), pairs, 2)
+        first, again = tmp_path / "first.ckpt", tmp_path / "again.ckpt"
+        save_gan(first, state)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_gan called init_gan")
+
+        monkeypatch.setattr(importlib.import_module("psimlab.gan.train"),
+                            "init_gan", refuse)
+        back = load_gan(first)
+        save_gan(again, back)
+        assert first.read_bytes() == again.read_bytes()
+        train(state, pairs, 2)
+        train(back, pairs, 2)
+        for (n, a), (_, b) in zip(
+                state.generator.parameters() +
+                state.discriminator.parameters(),
+                back.generator.parameters() +
+                back.discriminator.parameters(), strict=True):
+            assert a.tobytes() == b.tobytes(), n
+        assert (back.g_opt.t, back.d_opt.t) == (state.g_opt.t, state.d_opt.t)
+
     @pytest.mark.parametrize("mode", ["phase", "frames"])
     def test_generator_only_load_infers_bitwise_as_the_full_load(
             self, mode, tmp_path):
@@ -584,7 +614,7 @@ class TestCheckpointing:
         if mode == "phase":
             outs = [infer_phase(s, i1).data for s in (full, alone)]
         else:
-            outs = [np.stack([f.data for f in chain_infer_frames(s, i1)[0]])
+            outs = [np.stack([f.data for f in chain_infer_frames(s, i1)])
                     for s in (full, alone)]
         assert outs[0].tobytes() == outs[1].tobytes()
 

@@ -1,10 +1,12 @@
 """Source hygiene: every module of the package uses each name it imports,
-every function, class and method it defines is named somewhere else, the
+every function, class and method it defines is named somewhere else in
+``src/`` or ``perfbench/`` (a name that only tests read belongs in the
+tests), each package ``__init__`` exports exactly what it imports, the
 README's Layout names every module, every name the benchmark's tracer
 patches still exists, and importing the package loads no scipy.ndimage.
 
-Package ``__init__`` files are left out: they import names to re-export
-them, and a re-export is not a use.
+Package ``__init__`` files are left out of the use checks: they import
+names to re-export them, and a re-export is not a use.
 """
 
 import ast
@@ -23,9 +25,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "psimlab"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
-# where a definition of the package may be named
-USERS = sorted(p for d in ("src", "tests", "perfbench")
-               for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
+INITS = sorted(PACKAGE.rglob("__init__.py"))
+
+
+def user_files(root):
+    """The files under ``root`` where a definition of the package may be
+    named: the package itself and the benchmark, not the tests."""
+    return sorted(p for d in ("src", "perfbench")
+                  for p in (root / d).rglob("*.py") if p.name != "__init__.py")
+
+
+USERS = user_files(ROOT)
 
 
 def unused_imports(source):
@@ -62,7 +72,7 @@ def dead_names(defined, sources):
     return sorted(name for name in set(defined) if words[name] <= defs[name])
 
 
-def test_checker_flags_a_dead_name():
+def test_checker_flags_a_dead_name(tmp_path):
     source = ("class Used:\n    def used(self): pass\n"
               "    def orphan(self): pass\n    def __len__(self): pass\n"
               "def helper(): pass\n")
@@ -72,12 +82,40 @@ def test_checker_flags_a_dead_name():
     assert dead_names(defined, [source, user]) == ["orphan"]
     # a second definition of a name is no mention of it
     assert dead_names(["used"], [source, source]) == ["used"]
+    # a name whose only user is a test file is dead
+    bench = "from m import Used\nUsed().used()\n"
+    for rel, text in (("src/m.py", source), ("perfbench/b.py", bench),
+                      ("tests/test_m.py", "from m import helper\nhelper()\n")):
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    users = [p.read_text() for p in user_files(tmp_path)]
+    assert dead_names(defined, users) == ["helper", "orphan"]
 
 
 def test_every_definition_is_named_elsewhere():
     sources = [p.read_text() for p in USERS]
     defined = [name for p in MODULES for name in definitions(p.read_text())]
     assert dead_names(defined, sources) == []
+
+
+def imports_and_exports(source):
+    """The names an ``__init__`` imports, and its ``__all__``."""
+    tree = ast.parse(source)
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    exported = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["__all__"]]
+    return imported, exported[0] if exported else None
+
+
+@pytest.mark.parametrize("path", INITS,
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_init_exports_what_it_imports(path):
+    imported, exported = imports_and_exports(path.read_text())
+    assert exported is not None
+    assert len(set(exported)) == len(exported)
+    assert sorted(exported) == sorted(imported)
 
 
 def test_checker_flags_an_unused_import():

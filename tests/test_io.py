@@ -10,6 +10,8 @@ from psimlab.metrics import Profile
 from psimlab.nn import (CheckpointError, checkpoint, load_checkpoint,
                         save_checkpoint)
 
+from helpers import read_profile_csv
+
 
 class TestPfm:
     def test_round_trip(self, tmp_path):
@@ -79,7 +81,7 @@ class TestProfileCsv:
         io.write_profile_csv(path, profile)
         text = path.read_text()
         assert "# segment=1" in text and "# segment=4" not in text
-        back = io.read_profile_csv(path)
+        back = read_profile_csv(path)
         assert np.array_equal(back.values, profile.values)
         assert back.boundaries == profile.boundaries
 

@@ -6,7 +6,15 @@ import pytest
 
 from psimlab.nn import (AdamState, Conv2d, ConvTranspose2d, InstanceNorm,
                         LeakyReLU, NumericError, ReLU, Sequential, Sigmoid,
-                        Tanh, adam_step, grad_check, l1_loss, l2_loss, ops)
+                        Tanh, adam_step, grad_check, l2_loss, ops)
+
+
+def l1_loss(target):
+    """The summed L1 loss for ``grad_check``: (loss, gradient in y)."""
+    def fn(y):
+        diff = y - target
+        return float(np.sum(np.abs(diff))), np.sign(diff)
+    return fn
 
 
 def brute_conv2d(x, w, b, stride, pad):

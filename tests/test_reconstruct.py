@@ -12,11 +12,11 @@ from psimlab import (DEFAULT_SHIFTS, ForwardModelSpec, Image,
                      InterferogramStack, PhaseMap, PhaseObjectSpec, SourceSpec,
                      align_global_offset, five_step_wrapped_phase,
                      make_phase_object, modulation_amplitude, phase_to_height,
-                     simulate_stack, unwrap_phase, wrap_to_pi)
+                     simulate_stack, unwrap_phase)
 from psimlab import reconstruct
 from psimlab.reconstruct import QualityMap
 
-TWO_PI = 2.0 * math.pi
+from helpers import TWO_PI, wrap_to_pi
 
 
 def cosine_stack(a, b, phi, shifts=DEFAULT_SHIFTS, shape=(8, 8)):
