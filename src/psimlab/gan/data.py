@@ -55,11 +55,14 @@ def dataset_intensity_range(dataset):
     return float(lo), float(hi)
 
 
-def dataset_phase_range(dataset, margin=0.05):
+PHASE_MARGIN = 0.05
+
+
+def dataset_phase_range(dataset):
     """Fixed phase range over the whole dataset's ground truth, with headroom."""
     lo = min(truth.data.min() for _, truth in dataset)
     hi = max(truth.data.max() for _, truth in dataset)
-    pad = margin * max(hi - lo, 1.0)
+    pad = PHASE_MARGIN * max(hi - lo, 1.0)
     return float(lo - pad), float(hi + pad)
 
 

@@ -47,8 +47,7 @@ def _block(conv, ch_in, ch_out, norm, act, rng):
 
 
 class UNetGenerator(Sequential):
-    def __init__(self, depth=4, base=16, rng=None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, depth, base, *, rng):
         self.depth = depth
 
         down_out = _widths(base, depth)
@@ -110,8 +109,7 @@ class PatchDiscriminator(Sequential):
     """Patch logits of the channels of (condition, candidate), concatenated
     in that order."""
 
-    def __init__(self, blocks=3, base=16, rng=None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, blocks, base, *, rng):
         widths = _widths(base, blocks)
         layers = []
         for k, (ch_in, ch_out) in enumerate(zip([2] + widths, widths)):

@@ -36,8 +36,17 @@ class GanSpec:
 
     def __post_init__(self):
         check_fields(self)
-        if self.image_side % (2 ** self.depth) != 0:
+        # shifts, not 2 ** depth, which grows with a huge depth.  Every
+        # block but each network's first is normalized, and the deepest of
+        # n blocks is side >> n wide: an instance norm needs two pixels
+        side = self.image_side
+        if side >> self.depth << self.depth != side:
             raise ValueError("image side must be divisible by 2^depth")
+        for key, n in (("depth", self.depth),
+                       ("disc_blocks", self.disc_blocks)):
+            if n >= 2 and side >> n < 2:
+                raise ValueError(f"image side {side} is too small for {key} "
+                                 f"{n}: an instance norm would be 1x1")
 
 
 @dataclass
@@ -197,22 +206,19 @@ def _recorded(state: GanState, key):
     return state.norm_info[key]
 
 
-def chain_infer_frames(state: GanState, i1: Image, generator_fn=None):
-    """Approach 1 inference: predict frames 2..5 by chaining the generator.
-
-    ``generator_fn`` (normalized grid -> normalized grid) can replace the
-    trained network, e.g. with an analytic advance oracle, to validate the
-    chaining plumbing.  Returns the four predicted frames as Images.
+def chain_infer_frames(state: GanState, i1: Image):
+    """Approach 1 inference: predict frames 2..5 by chaining the generator,
+    each hop through the module's ``generator_apply``.  Returns the four
+    predicted frames as Images.
     """
     if state.spec.mode != "frames":
         raise ValueError("chain inference requires a frames-mode model")
     lo, hi = _recorded(state, "intensity_range")
-    fn = generator_fn or (lambda g: generator_apply(state, g))
 
     current = normalize(i1.data, lo, hi)
     frames = []
     for _ in range(4):
-        current = fn(current)
+        current = generator_apply(state, current)
         frames.append(Image(denormalize(current, lo, hi)))
     return frames
 

@@ -13,47 +13,43 @@ from .image import PhaseMap
 from .simulate import InterferogramStack
 
 
-def _gaussian(size: int, sigma: float) -> np.ndarray:
-    half = (size - 1) / 2.0
-    x = np.arange(size, dtype=np.float64) - half
-    return np.exp(-(x ** 2) / (2.0 * sigma ** 2))
+# SSIM's window and stabilizing constants (Wang et al., IEEE TIP 13(4),
+# 2004): an 11-tap Gaussian of sigma 1.5, K1 = 0.01 and K2 = 0.03
+WINDOW_SIZE = 11
+SIGMA = 1.5
+K1 = 0.01
+K2 = 0.03
+_X = np.arange(WINDOW_SIZE, dtype=np.float64) - (WINDOW_SIZE - 1) / 2.0
+_TAPS = np.exp(-(_X ** 2) / (2.0 * SIGMA ** 2))
+_TAPS /= _TAPS.sum()
+
+FOREGROUND_FRACTION = 0.05
 
 
 def _correlate_valid(x, taps, count, axis):
     """``scipy.ndimage.correlate1d(x, taps, axis)`` at the ``count`` window
-    positions that lie wholly inside ``x``, bitwise: the taps are applied
-    in correlate1d's own loop order, so every sum rounds the same way.  An
-    odd window's taps are exactly symmetric (``_gaussian`` spaces them
-    evenly about the center), which sends correlate1d down its symmetric
-    branch: it adds the two samples a tap weighs before multiplying.  Even
-    taps take its general branch, which starts from the last tap."""
+    positions that lie wholly inside ``x``, for an odd, symmetric window,
+    bitwise: the taps are applied in correlate1d's own loop order, so every
+    sum rounds the same way.  ``_TAPS`` are spaced evenly about the center,
+    so they are exactly symmetric, which sends correlate1d down its
+    symmetric branch: it adds the two samples a tap weighs before
+    multiplying."""
     def at(k):  # the sample k places into each window
         return x[k:k + count] if axis == 0 else x[:, k:k + count]
 
     n = len(taps)
-    if n % 2:
-        h = n // 2
-        out = at(h) * taps[h]
-        tmp = np.empty_like(out)
-        for k in range(h):
-            np.add(at(k), at(n - 1 - k), out=tmp)
-            tmp *= taps[k]
-            out += tmp
-        return out
-    out = at(n - 1) * taps[n - 1]
+    h = n // 2
+    out = at(h) * taps[h]
     tmp = np.empty_like(out)
-    for k in range(n - 1):
-        np.multiply(at(k), taps[k], out=tmp)
+    for k in range(h):
+        np.add(at(k), at(n - 1 - k), out=tmp)
+        tmp *= taps[k]
         out += tmp
     return out
 
 
 @dataclass
 class SsimParams:
-    window_size: Annotated[int, Range(ge=1)] = 11
-    sigma: Annotated[float, Range(gt=0)] = 1.5
-    k1: Annotated[float, Range(gt=0)] = 0.01
-    k2: Annotated[float, Range(gt=0)] = 0.03
     dynamic_range: Annotated[float, Range(gt=0)] = 1.0
 
     __post_init__ = check_fields
@@ -67,38 +63,30 @@ class Profile:
     boundaries: tuple = field(default_factory=tuple)
 
 
-def _grid(a) -> np.ndarray:
-    data = a.data if hasattr(a, "data") else a
-    return np.asarray(data, dtype=np.float64)
-
-
-def ssim(a, b, params: SsimParams = None):
+def ssim(a, b, params: SsimParams):
     """Classic windowed SSIM; returns (mean score, per-window SSIM map).
 
     Statistics are Gaussian-weighted within each fully-valid window; the mean
     runs over valid windows only (no padding), and the map has shape
-    (H - n + 1, W - n + 1) for an n x n window.  The Gaussian window is the
-    outer product of its 1D taps, so each local mean is two n-tap passes,
-    one per axis (Wang et al., IEEE TIP 13(4), 2004).
+    (H - n + 1, W - n + 1) for the n x n window, n = ``WINDOW_SIZE``.  The
+    Gaussian window is the outer product of its 1D taps, so each local mean
+    is two n-tap passes, one per axis.
     """
-    a = _grid(a)
-    b = _grid(b)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    params = params or SsimParams()
-    n = params.window_size
+    n = WINDOW_SIZE
     if a.shape[0] < n or a.shape[1] < n:
         raise ValueError(f"images must be at least {n}x{n}")
-    taps = _gaussian(n, params.sigma)
-    taps /= taps.sum()
     rows = a.shape[0] - n + 1
     cols = a.shape[1] - n + 1
 
     def local_mean(x):
         # the axis-1 pass slices columns rather than transposing, so the
         # map is C-contiguous and its mean sums in row-major order
-        return _correlate_valid(_correlate_valid(x, taps, rows, 0),
-                                taps, cols, 1)
+        return _correlate_valid(_correlate_valid(x, _TAPS, rows, 0),
+                                _TAPS, cols, 1)
 
     mu_a = local_mean(a)
     mu_b = local_mean(b)
@@ -106,8 +94,8 @@ def ssim(a, b, params: SsimParams = None):
     var_b = local_mean(b * b) - mu_b ** 2
     cov = local_mean(a * b) - mu_a * mu_b
 
-    c1 = (params.k1 * params.dynamic_range) ** 2
-    c2 = (params.k2 * params.dynamic_range) ** 2
+    c1 = (K1 * params.dynamic_range) ** 2
+    c2 = (K2 * params.dynamic_range) ** 2
     ssim_map = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / \
         ((mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2))
     return float(ssim_map.mean()), ssim_map
@@ -115,8 +103,8 @@ def ssim(a, b, params: SsimParams = None):
 
 def rms_error(a, b) -> float:
     """Root-mean-square difference."""
-    a = _grid(a)
-    b = _grid(b)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     return float(np.sqrt(np.mean((a - b) ** 2)))
@@ -143,23 +131,21 @@ def stitched_line_profile(stack: InterferogramStack, row: int) -> Profile:
     return Profile(values, boundaries)
 
 
-def foreground_mask(truth: PhaseMap, fraction: float = 0.05) -> np.ndarray:
-    """Pixels whose phase exceeds ``fraction`` of the map's peak-to-peak range."""
+def foreground_mask(truth: PhaseMap) -> np.ndarray:
+    """Pixels above the minimum by over FOREGROUND_FRACTION of the range."""
     t = truth.data
     lo = t.min()
     span = t.max() - lo
     if span == 0:
         return np.ones_like(t, dtype=bool)
-    return (t - lo) > fraction * span
+    return (t - lo) > FOREGROUND_FRACTION * span
 
 
-def masked_mean_ssim(ssim_map: np.ndarray, mask: np.ndarray,
-                     params: SsimParams = None) -> float:
-    """Mean of ``ssim_map``, the map ``ssim(a, b, params)`` returns, over
-    the windows whose center pixel is in the mask; over every window when
-    no center is."""
-    params = params or SsimParams()
-    half = params.window_size // 2
+def masked_mean_ssim(ssim_map: np.ndarray, mask: np.ndarray) -> float:
+    """Mean of ``ssim_map``, the map ``ssim`` returns, over the windows
+    whose center pixel is in the mask; over every window when no center
+    is."""
+    half = WINDOW_SIZE // 2
     centers = mask[half:half + ssim_map.shape[0], half:half + ssim_map.shape[1]]
     if not centers.any():
         return float(ssim_map.mean())

@@ -8,13 +8,15 @@ import numpy as np
 
 from .ops import NumericError
 
+# added to the root of the second moment, so an update never divides by 0
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    lr: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
+    beta1: float
+    beta2: float
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -65,7 +67,7 @@ def adam_step(params, grads, state: AdamState) -> AdamState:
         t = scratch[:p.size].reshape(p.shape)
         np.divide(state.v[name], bc2, out=t)
         np.sqrt(t, out=t)
-        t += state.eps
+        t += EPS
         u = state.m[name] / bc1
         u *= lr
         u /= t

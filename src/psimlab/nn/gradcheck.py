@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+STEP = 1e-6
 
-def grad_check(model, x, loss_fn, h=1e-6):
+
+def grad_check(model, x, loss_fn):
     """Max relative error between analytic and numeric parameter gradients.
 
     ``loss_fn(y)`` must return (scalar loss, grad of loss w.r.t. y).  The
@@ -23,12 +25,12 @@ def grad_check(model, x, loss_fn, h=1e-6):
         ana = analytic[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + STEP
             lp, _ = loss_fn(model.forward(x))
-            flat[i] = orig - h
+            flat[i] = orig - STEP
             lm, _ = loss_fn(model.forward(x))
             flat[i] = orig
-            numeric = (lp - lm) / (2.0 * h)
+            numeric = (lp - lm) / (2.0 * STEP)
             denom = max(abs(ana[i]), abs(numeric), 1e-8)
             worst = max(worst, abs(ana[i] - numeric) / denom)
     return worst

@@ -61,11 +61,10 @@ class _Conv(Layer):
     transposed = False
     params = ("w", "b")
 
-    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, rng=None,
+    def __init__(self, in_ch, out_ch, kernel, stride=1, padding=0, *, rng,
                  bias=True):
         self.stride = stride
         self.padding = padding
-        rng = rng or np.random.default_rng(0)
         layout = (in_ch, out_ch) if self.transposed else (out_ch, in_ch)
         self.w = rng.normal(0.0, WEIGHT_INIT_SIGMA, layout + (kernel, kernel))
         # np.zeros writes no page, so a network that only infers keeps
@@ -137,8 +136,7 @@ class ConvTranspose2d(_Conv):
 class InstanceNorm(Layer):
     params = ("gamma", "beta")
 
-    def __init__(self, channels, eps=1e-5):
-        self.eps = eps
+    def __init__(self, channels):
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.ggamma = np.zeros_like(self.gamma)
@@ -146,8 +144,7 @@ class InstanceNorm(Layer):
         self.name = f"inorm_{channels}"
 
     def forward(self, x):
-        y, self.cache = ops.instance_norm_forward(x, self.gamma, self.beta,
-                                                  self.eps)
+        y, self.cache = ops.instance_norm_forward(x, self.gamma, self.beta)
         return check_finite(y, self.name)
 
     def backward(self, grad_y, params=True, inputs=True):

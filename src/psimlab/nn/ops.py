@@ -319,17 +319,22 @@ def sigmoid_backward(y, grad_y):
     return grad_y * y * (1.0 - y)
 
 
-def instance_norm_forward(x, gamma, beta, eps=1e-5):
+# added to each (sample, channel) variance, so a constant one divides by no 0
+INSTANCE_NORM_EPS = 1e-5
+
+
+def instance_norm_forward(x, gamma, beta):
     """Per-(sample, channel) standardization followed by affine scale/shift."""
     n, c, h, w = x.shape
     if h * w < 2:
         raise ValueError("instance norm needs spatial size >= 2")
     # x - mu is formed once; the variance is the sum of its squares over
     # h*w, the operations np.var runs, so xhat and y match the textbook
-    # (x - mu) / sqrt(var + eps) bit for bit
+    # (x - mu) / sqrt(var + INSTANCE_NORM_EPS) bit for bit
     xhat = x - x.mean(axis=(2, 3), keepdims=True)
     y = np.square(xhat)
-    inv_std = 1.0 / np.sqrt(y.sum(axis=(2, 3), keepdims=True) / (h * w) + eps)
+    inv_std = 1.0 / np.sqrt(y.sum(axis=(2, 3), keepdims=True) / (h * w)
+                           + INSTANCE_NORM_EPS)
     xhat *= inv_std
     np.multiply(gamma[None, :, None, None], xhat, out=y)
     y += beta[None, :, None, None]

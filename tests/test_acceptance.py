@@ -9,6 +9,7 @@ design.
 
 import functools
 import hashlib
+import importlib
 import json
 import math
 import time
@@ -225,10 +226,11 @@ def _gaussian_window(size, sigma):
 
 
 def _brute_ssim_map(a, b, params):
-    n = params.window_size
-    win = _gaussian_window(n, params.sigma)
-    c1 = (params.k1 * params.dynamic_range) ** 2
-    c2 = (params.k2 * params.dynamic_range) ** 2
+    # Wang et al.'s window and constants: 11 taps, sigma 1.5, K1, K2
+    n = 11
+    win = _gaussian_window(n, 1.5)
+    c1 = (0.01 * params.dynamic_range) ** 2
+    c2 = (0.03 * params.dynamic_range) ** 2
     rows, cols = a.shape[0] - n + 1, a.shape[1] - n + 1
     out = np.zeros((rows, cols))
     for i in range(rows):
@@ -324,7 +326,7 @@ def test_criterion_07_single_shot_phase_training():
 
 # ---------------------------------------------------------------- criterion 8
 
-def test_criterion_08_frame_chaining():
+def test_criterion_08_frame_chaining(monkeypatch):
     model = ForwardModelSpec(noise_sigma=0.02)
     dataset = synth_dataset(96, 64, 64, "cell_blobs", model, seed=1)
     train_set, test_set = split_dataset(dataset, seed=0, train_count=64)
@@ -339,14 +341,17 @@ def test_criterion_08_frame_chaining():
     state = init_gan(spec, seed=0, norm_info=info)
     cursor = {"k": 0}
 
-    def oracle(grid):
+    def oracle(_, grid):
         assert np.max(np.abs(grid - normalize(
             stack.frames[cursor["k"]].data, lo, hi))) < 1e-9
         cursor["k"] += 1
         return normalize(stack.frames[cursor["k"]].data, lo, hi)
 
-    chained = chained_stack(stack.frames[0], chain_infer_frames(
-        state, stack.frames[0], generator_fn=oracle))
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module("psimlab.gan.train"),
+                      "generator_apply", oracle)
+        chained = chained_stack(stack.frames[0], chain_infer_frames(
+            state, stack.frames[0]))
     _, _, oracle_unwrapped, _ = reconstruct_stack(chained)
     _, _, classical_unwrapped, _ = reconstruct_stack(stack)
     oracle_err = rms_error(

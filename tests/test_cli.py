@@ -633,6 +633,8 @@ class TestTrainInfer:
         {"spec": TINY_SPEC, "train_fraction": 1.0},
         {"spec": TINY_SPEC, "train_fraction": -0.5},
         {"spec": dict(TINY_SPEC, skips=False)},
+        {"spec": dict(TINY_SPEC, depth=4)},
+        {"spec": dict(TINY_SPEC, disc_blocks=4)},
     ], ids=["config_list", "steps", "seed", "batch_size", "split_seed",
             "train_count", "train_fraction", "spec_list", "negative_steps",
             "zero_batch_size", "spec_lr_string", "spec_beta1_string",
@@ -641,7 +643,8 @@ class TestTrainInfer:
             "spec_disc_blocks_0", "spec_negative_image_side",
             "negative_seed", "negative_split_seed", "unknown_key",
             "zero_train_count", "train_fraction_1", "negative_train_fraction",
-            "spec_skips_false"])
+            "spec_skips_false", "spec_norm_1x1_generator",
+            "spec_norm_1x1_discriminator"])
     def test_bad_config_field_exits_2(self, sim_dir, tmp_path, cfg):
         config = write_config(tmp_path / "c.json", cfg)
         out = tmp_path / "o"
@@ -746,7 +749,7 @@ class TestEval:
             mask = foreground_mask(truth)
             assert entry["ssim_full"] == ssim(aligned, truth.data, params)[0]
             assert entry["ssim_foreground"] == masked_mean_ssim(
-                ssim(aligned, truth.data, params)[1], mask, params)
+                ssim(aligned, truth.data, params)[1], mask)
             assert entry["rms"] == rms_error(aligned, truth.data)
 
 

@@ -192,8 +192,9 @@ class TestModels:
         assert np.all(np.abs(y) <= 1.0)
 
     def test_unique_parameter_names(self):
-        gen = UNetGenerator()
-        disc = PatchDiscriminator()
+        spec, rng = GanSpec(), np.random.default_rng(0)
+        gen = UNetGenerator(spec.depth, spec.base, rng=rng)
+        disc = PatchDiscriminator(spec.disc_blocks, spec.disc_base, rng=rng)
         names = [n for n, _ in gen.parameters()] + \
             [n for n, _ in disc.parameters()]
         assert len(names) == len(set(names))
@@ -219,15 +220,19 @@ class TestModels:
             ("d.inorm_8.gamma", (8,)), ("d.inorm_8.beta", (8,)),
             ("d.conv3x3s1_8to1.w", (1, 8, 3, 3)),
             ("d.conv3x3s1_8to1.b", (1,))]
-        for net, layout in ((UNetGenerator(depth=2, base=4), gen),
-                            (PatchDiscriminator(blocks=2, base=4), disc)):
+        rng = np.random.default_rng(0)
+        for net, layout in ((UNetGenerator(depth=2, base=4, rng=rng), gen),
+                            (PatchDiscriminator(blocks=2, base=4, rng=rng),
+                             disc)):
             assert [(n, p.shape) for n, p in net.parameters()] == layout
             assert [(n, g.shape) for n, g in net.gradients()] == layout
 
     def test_bias_exactly_where_no_norm_follows_at_the_paper_spec(self):
         # a norm right after a conv would cancel its bias exactly
         convs = 0
-        for block in UNetGenerator().layers + [PatchDiscriminator()]:
+        spec, rng = GanSpec(), np.random.default_rng(0)
+        for block in UNetGenerator(spec.depth, spec.base, rng=rng).layers + [
+                PatchDiscriminator(spec.disc_blocks, spec.disc_base, rng=rng)]:
             for layer, after in zip(block.layers, block.layers[1:] + [None]):
                 if isinstance(layer, (Conv2d, ConvTranspose2d)):
                     names = [n for n, _ in layer.parameters()]
@@ -454,18 +459,20 @@ class TestTraining:
 
 
 class TestInference:
-    def test_chain_identity_generator(self):
+    def test_chain_identity_generator(self, monkeypatch):
         state = init_gan(tiny_spec("frames"), seed=0,
                          norm_info={"intensity_range": (0.0, 4.0)})
         i1 = Image(np.random.default_rng(0).uniform(0, 4, (16, 16)))
-        frames = chain_infer_frames(state, i1, generator_fn=lambda g: g)
+        monkeypatch.setattr(importlib.import_module("psimlab.gan.train"),
+                            "generator_apply", lambda state, g: g)
+        frames = chain_infer_frames(state, i1)
         stack = chained_stack(i1, frames)
         assert len(frames) == 4
         for f in frames:
             assert np.max(np.abs(f.data - i1.data)) < 1e-12
         assert stack.frames[0] is i1
 
-    def test_chain_with_analytic_advance_oracle(self):
+    def test_chain_with_analytic_advance_oracle(self, monkeypatch):
         dataset = tiny_dataset(1, side=16, seed=21)
         stack, truth = dataset[0]
         lo = min(f.data.min() for f in stack.frames)
@@ -474,7 +481,7 @@ class TestInference:
         truth_frames = [f.data for f in stack.frames]
         cursor = {"k": 0}
 
-        def oracle(grid):
+        def oracle(_, grid):
             expected = normalize(truth_frames[cursor["k"]], lo, hi)
             assert np.max(np.abs(grid - expected)) < 1e-9
             cursor["k"] += 1
@@ -482,8 +489,9 @@ class TestInference:
 
         state = init_gan(tiny_spec("frames"), seed=0,
                          norm_info={"intensity_range": (lo, hi)})
-        frames = chain_infer_frames(state, stack.frames[0],
-                                    generator_fn=oracle)
+        monkeypatch.setattr(importlib.import_module("psimlab.gan.train"),
+                            "generator_apply", oracle)
+        frames = chain_infer_frames(state, stack.frames[0])
         chained = chained_stack(stack.frames[0], frames)
         for pred, true in zip(frames, truth_frames[1:]):
             assert np.max(np.abs(pred.data - true)) < 1e-9

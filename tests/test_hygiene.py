@@ -1,9 +1,11 @@
 """Source hygiene: every module of the package uses each name it imports,
 every function, class and method it defines is named somewhere else in
 ``src/`` or ``perfbench/`` (a name that only tests read belongs in the
-tests), each package ``__init__`` exports exactly what it imports, the
-README's Layout names every module, every name the benchmark's tracer
-patches still exists, and importing the package loads no scipy.ndimage.
+tests), every parameter default it declares is overridden by some call in
+``src/`` or ``perfbench/`` (a setting that only tests set is a constant),
+each package ``__init__`` exports exactly what it imports, the README's
+Layout names every module, every name the benchmark's tracer patches
+still exists, and importing the package loads no scipy.ndimage.
 
 Package ``__init__`` files are left out of the use checks: they import
 names to re-export them, and a re-export is not a use.
@@ -96,6 +98,99 @@ def test_every_definition_is_named_elsewhere():
     sources = [p.read_text() for p in USERS]
     defined = [name for p in MODULES for name in definitions(p.read_text())]
     assert dead_names(defined, sources) == []
+
+
+def defaulted_parameters(source):
+    """Each function, method and constructor that ``source`` defines, as
+    (class or None, name, positional parameters, parameters with a
+    default), and each class's base names.  A method's positional
+    parameters leave out its ``self``."""
+    found, bases = [], {}
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                bases[child.name] = [getattr(b, "id", getattr(b, "attr", None))
+                                     for b in child.bases]
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a.arg for a, d in zip(args.kwonlyargs,
+                                                    args.kw_defaults) if d]
+                if cls and "staticmethod" not in [
+                        getattr(d, "id", None) for d in child.decorator_list]:
+                    positional = positional[1:]
+                found.append((cls, child.name, positional, defaulted))
+                visit(child, None)
+
+    visit(ast.parse(source), None)
+    return found, bases
+
+
+def unset_parameters(package, sources):
+    """Each parameter with a default, of a function, method or constructor
+    of the ``package`` sources, that no call in ``sources`` sets, as
+    "function.param", "Class.method.param" or "Class.param" for a
+    constructor.  A call sets a parameter by keyword, by position or
+    through ``*args`` / ``**kwargs``; a method is matched by its name on
+    any object, and a constructor by its class or by any subclass that
+    inherits it."""
+    defs, bases = [], {}
+    for source in package:
+        found, declared = defaulted_parameters(source)
+        defs += found
+        bases.update(declared)
+    calls = [node for source in sources for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)]
+    own_init = {cls for cls, name, *_ in defs if name == "__init__"}
+
+    def inheritors(cls):
+        subs = [sub for sub, base in bases.items()
+                if cls in base and sub not in own_init]
+        return {cls}.union(*map(inheritors, subs))
+
+    unset = []
+    for cls, name, positional, defaulted in defs:
+        names = inheritors(cls) if name == "__init__" else {name}
+        done = set()
+        for call in calls:
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) \
+                    not in names:
+                continue
+            for keyword in call.keywords:
+                done |= set(defaulted) if keyword.arg is None else {
+                    keyword.arg}
+            for k, arg in enumerate(call.args):
+                done |= set(positional[k:] if isinstance(arg, ast.Starred)
+                            else positional[k:k + 1])
+        label = [cls] if name == "__init__" else [cls, name]
+        unset += [".".join(filter(None, label + [p]))
+                  for p in defaulted if p not in done]
+    return sorted(unset)
+
+
+def test_checker_flags_an_unset_parameter(tmp_path):
+    source = ("class Base:\n    def __init__(self, by_subclass=0): pass\n"
+              "    def method(self, by_position=0): pass\n"
+              "class Sub(Base): pass\n"
+              "def f(by_keyword=0, never=0): pass\n"
+              "def g(*, by_kwargs=0): pass\n"
+              "def h(by_test=0): pass\n")
+    for rel, text in (("src/m.py", source),
+                      ("perfbench/b.py", "Sub(1).method(2)\nf(by_keyword=1)\n"
+                                         "g(**options)\n"),
+                      ("tests/test_m.py", "from m import h\nh(by_test=1)\n")):
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    users = [p.read_text() for p in user_files(tmp_path)]
+    assert unset_parameters([source], users) == ["f.never", "h.by_test"]
+
+
+def test_every_parameter_default_is_set_somewhere():
+    package = [p.read_text() for p in MODULES]
+    assert unset_parameters(package, [p.read_text() for p in USERS]) == []
 
 
 def imports_and_exports(source):

@@ -374,7 +374,7 @@ class TestSinglePassKernels:
         xhat = (x - mu) * inv_std
         ref = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
         y, (xhat_c, inv_std_c, gamma_c) = ops.instance_norm_forward(
-            x, gamma, beta, eps)
+            x, gamma, beta)
         assert y.tobytes() == ref.tobytes()
         assert xhat_c.tobytes() == xhat.tobytes()
         assert inv_std_c.tobytes() == inv_std.tobytes()
@@ -646,9 +646,12 @@ class TestBackwardReleasesItsCache:
     another backward needs a forward of its own."""
 
     @pytest.mark.parametrize("layer,shape", [
-        (Conv2d(3, 4, 4, stride=2, padding=1, bias=False), (2, 3, 8, 8)),
-        (Conv2d(17, 1, 3, stride=1, padding=1), (2, 17, 6, 6)),
-        (ConvTranspose2d(4, 3, 4, stride=2, padding=1, bias=False),
+        (Conv2d(3, 4, 4, stride=2, padding=1, rng=np.random.default_rng(0),
+                bias=False), (2, 3, 8, 8)),
+        (Conv2d(17, 1, 3, stride=1, padding=1, rng=np.random.default_rng(0)),
+         (2, 17, 6, 6)),
+        (ConvTranspose2d(4, 3, 4, stride=2, padding=1,
+                         rng=np.random.default_rng(0), bias=False),
          (2, 4, 4, 4)),
         (InstanceNorm(3), (2, 3, 5, 5)),
         (LeakyReLU(0.2), (2, 3, 5, 5)),
@@ -707,8 +710,10 @@ class TestBiasFreeConvs:
                 [a if a is None else a.tobytes() for a in biased]
 
     @pytest.mark.parametrize("layer,shape", [
-        (Conv2d(3, 4, 4, stride=2, padding=1, bias=False), (2, 3, 8, 8)),
-        (ConvTranspose2d(4, 3, 4, stride=2, padding=1, bias=False),
+        (Conv2d(3, 4, 4, stride=2, padding=1, rng=np.random.default_rng(0),
+                bias=False), (2, 3, 8, 8)),
+        (ConvTranspose2d(4, 3, 4, stride=2, padding=1,
+                         rng=np.random.default_rng(0), bias=False),
          (2, 4, 4, 4)),
     ], ids=["conv", "conv_transpose"])
     def test_layer_backward_forms_no_bias_gradient(self, monkeypatch, layer,
@@ -771,7 +776,7 @@ class TestAdam:
     def test_zero_lr_leaves_params(self):
         p = np.array([1.0, 2.0])
         g = np.array([0.5, -0.5])
-        state = AdamState(lr=0.0)
+        state = AdamState(lr=0.0, beta1=0.5, beta2=0.999)
         adam_step([("p", p)], [("p", g)], state)
         assert np.array_equal(p, [1.0, 2.0])
         assert state.t == 1
@@ -780,7 +785,7 @@ class TestAdam:
     def test_first_step_scalar_recurrence(self):
         # m_hat = 1, v_hat = 1 -> delta = -lr / (1 + eps)
         p = np.array([0.0])
-        state = AdamState(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        state = AdamState(lr=0.1, beta1=0.9, beta2=0.999)
         adam_step([("p", p)], [("p", np.array([1.0]))], state)
         assert p[0] == pytest.approx(-0.1, abs=1e-8)
 
@@ -788,7 +793,7 @@ class TestAdam:
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         grads = np.random.default_rng(9).normal(size=10)
         p = np.array([1.0])
-        state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        state = AdamState(lr=lr, beta1=b1, beta2=b2)
         # independent scalar recurrence
         po, m, v = 1.0, 0.0, 0.0
         for t, g in enumerate(grads, start=1):
@@ -801,7 +806,7 @@ class TestAdam:
     def test_deterministic(self):
         def run():
             p = np.array([1.0, -1.0])
-            state = AdamState(lr=0.01)
+            state = AdamState(lr=0.01, beta1=0.5, beta2=0.999)
             for i in range(20):
                 adam_step([("p", p)], [("p", np.array([0.1 * i, -0.2]))],
                           state)
@@ -810,7 +815,8 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            adam_step([("p", np.zeros(2))], [("p", np.zeros(3))], AdamState())
+            adam_step([("p", np.zeros(2))], [("p", np.zeros(3))],
+                      AdamState(lr=2e-4, beta1=0.5, beta2=0.999))
 
 
 def textbook_adam(params, grads, state):
@@ -826,7 +832,7 @@ def textbook_adam(params, grads, state):
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
         if state.lr != 0.0:
-            p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+            p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
 
 @pytest.mark.parametrize("lr", [0.0, 2e-4, 0.05])
@@ -871,7 +877,8 @@ class TestGradCheck:
         assert grad_check(net, x, l1_loss(t)) < 1e-4
 
     def test_degenerate_zero_network(self):
-        net = Sequential(Conv2d(1, 1, 3, padding=1))
+        net = Sequential(Conv2d(1, 1, 3, padding=1,
+                                rng=np.random.default_rng(0)))
         net.layers[0].w[...] = 0.0
         x = np.zeros((1, 1, 4, 4))
         t = np.zeros((1, 1, 4, 4))
@@ -911,7 +918,7 @@ class TestShapeAlgebraAndSafety:
             assert net.forward(x).shape == x.shape
 
     def test_nan_poisoning_raises_with_layer_name(self):
-        layer = Conv2d(1, 1, 1)
+        layer = Conv2d(1, 1, 1, rng=np.random.default_rng(0))
         layer.w[0, 0, 0, 0] = np.inf
         x = np.ones((1, 1, 2, 2))
         with pytest.raises(NumericError, match="conv1x1"):
