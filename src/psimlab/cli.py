@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 2 config error, 3 I/O error,
 4 data-shape error (including training data whose side differs from the
-spec's ``image_side``) or a result that is not finite, 5 mode mismatch,
-6 checkpoint integrity failure.
+spec's ``image_side``), a result that is not finite or an array too large
+for the memory the process may use, 5 mode mismatch, 6 checkpoint
+integrity failure.
 """
 
 from __future__ import annotations
@@ -450,6 +451,9 @@ def main(argv=None):
         return EXIT_DATA
     except ValueError as exc:
         log.error("bad input data: %s", exc)
+        return EXIT_DATA
+    except MemoryError as exc:  # an array the inputs size is too large
+        log.error("out of memory: %s", exc)
         return EXIT_DATA
 
 

@@ -71,15 +71,25 @@ def _header(path, fh):
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc!r}") from None
     for name, shape in layout:
-        # each side an int, not a bool, and no shape larger than the file
-        # even where another side is 0, so that numpy can hold it
+        # each side an int, not a bool
         if not (isinstance(name, str) and isinstance(shape, list) and all(
-                type(n) is int and n >= 0 for n in shape) and
-                8 * math.prod(max(n, 1) for n in shape) <= size):
+                type(n) is int and n >= 0 for n in shape)):
             raise CheckpointError(f"{path}: malformed header entry "
                                   f"{name!r} of shape {shape!r}")
-    if 8 + hlen + 8 * sum(math.prod(s) for _, s in layout) != size:
-        raise CheckpointError(f"{path}: blob length does not match header")
+    # before the bound below, which a cut file fails too, so that a cut
+    # file reads as truncated
+    want = 8 + hlen + 8 * sum(math.prod(s) for _, s in layout)
+    if want != size:
+        problem = "truncated" if size < want else \
+            "blob length does not match header"
+        raise CheckpointError(f"{path}: {problem}, {size} bytes present, "
+                              f"header promises {want}")
+    for name, shape in layout:
+        # no shape larger than the file even where another side is 0, so
+        # that numpy can hold it
+        if 8 * math.prod(max(n, 1) for n in shape) > size:
+            raise CheckpointError(f"{path}: malformed header entry "
+                                  f"{name!r} of shape {shape!r}")
     return [(n, tuple(s)) for n, s in layout], digest, meta
 
 

@@ -12,7 +12,8 @@ import numpy as np
 from .image import Image, PhaseMap
 from .simulate import InterferogramStack
 
-# unwrap_phase converts its steps to Python floats this many at a time
+# unwrap_phase scans (pass 2) and converts to Python floats (pass 3) this
+# many pops at a time
 _SLICE = 1 << 16
 # _pop_order parks queued ranks in blocks of this many consecutive ranks
 _BLOCK = 256
@@ -72,12 +73,14 @@ def unwrap_phase(wrapped: PhaseMap, quality: QualityMap) -> PhaseMap:
 
     1. A loop over ranks finds the pop order only.  Its queue is a small
        heap of the lowest ranks queued, in front of blocks that hold
-       the higher ones unsorted until the heap runs dry.
+       the higher ones unsorted until the heap runs dry.  It maps ranks and
+       cells through two ``array("i")`` tables, 4 bytes a cell.
     2. numpy gives each pixel its reference, the neighbor popped before it
-       that the one loop would have chosen, and its wrapped step, by the
-       same IEEE operations.
+       that the one loop would have chosen, as an int32 pop time, scanning
+       ``_SLICE`` pops at a time.  Then each wrapped step, by the same IEEE
+       operations.
     3. One loop adds the steps in pop order, in which every reference comes
-       before the pixels that use it.
+       before the pixels that use it, into an ``array("d")``.
 
     ``meta`` holds the seed as ``seed_pixel`` and whether every quality
     was zero as ``quality_all_zero``.
@@ -112,7 +115,7 @@ def unwrap_phase(wrapped: PhaseMap, quality: QualityMap) -> PhaseMap:
     d[x < -0.5] += two_pi
 
     # pass 3, in slices so that only one slice is Python objects at a time
-    vals = [float(phase[popped[0]])]
+    vals = array("d", [phase[popped[0]]])
     del phase, x
     grow = vals.append
     for lo in range(1, popped.size, _SLICE):
@@ -120,7 +123,7 @@ def unwrap_phase(wrapped: PhaseMap, quality: QualityMap) -> PhaseMap:
         for k, step in zip(t_ref[lo:hi].tolist(), d[lo:hi].tolist()):
             grow(vals[k] + step)
     out = np.empty((rows + 2) * stride)
-    out[popped] = vals
+    out[popped] = np.frombuffer(vals)
     out = out.reshape(rows + 2, stride)[1:-1, 1:-1]
     return PhaseMap(out, wrapped=False,
                     meta={"seed_pixel": (sr, sc), "quality_all_zero": all_zero})
@@ -150,14 +153,16 @@ def _pop_order(q, stride):
     del neg, sq
     r, c = np.divmod(order, cols)
     del order
-    cell = (r + 1) * stride + c + 1  # rank -> cell
+    # rank -> cell and cell -> rank as C ints: the padded grid has fewer
+    # than 2**31 cells, and 4 bytes a cell in place of a Python int
+    cell = ((r + 1) * stride + c + 1).astype(np.intc)
     del r, c
-    rank = np.zeros((rows + 2) * stride, dtype=np.int64)
-    rank[cell] = np.arange(cell.size)
+    rank = np.zeros((rows + 2) * stride, dtype=np.intc)
+    rank[cell] = np.arange(cell.size, dtype=np.intc)
     seed = int(cell[0])
     nblocks = -(-cell.size // _BLOCK)
-    cell = cell.tolist()
-    rank = rank.tolist()
+    cell = array("i", cell.tobytes())
+    rank = array("i", rank.tobytes())
     # free[n] is 1 until n is queued; border cells and the seed start at 0
     free = bytearray(np.pad(np.ones(q.shape, np.uint8), 1).tobytes())
     free[seed] = 0
@@ -218,23 +223,29 @@ def _pop_order(q, stride):
 
 def _references(popped, q, stride):
     """Pass 2 of ``unwrap_phase``: for the pixel popped k-th, the pop time of
-    its reference.  As the one loop did, scan up, down, left, right, and
-    let a neighbor popped earlier replace the reference only on strictly
-    higher quality.  The seed's entry is 0 and unused."""
+    its reference, as int32.  As the one loop did, scan up, down, left,
+    right, and let a neighbor popped earlier replace the reference only on
+    strictly higher quality.  The pops go ``_SLICE`` at a time, so the scan's
+    temporaries are the size of a slice.  The seed's entry is 0 and unused."""
     npix = popped.size
-    now = np.arange(npix)
-    t = np.full((q.shape[0] + 2) * stride, npix)  # border cells never pop
-    t[popped] = now
+    # border cells never pop
+    t = np.full((q.shape[0] + 2) * stride, npix, dtype=np.int32)
+    t[popped] = np.arange(npix, dtype=np.int32)
     qual = np.pad(q, 1).ravel()
-    best = np.full(npix, -1.0)
-    t_ref = np.zeros(npix, dtype=np.int64)
-    for o in (-stride, stride, -1, 1):
-        nb = popped + o
-        tn = t[nb]
-        qn = qual[nb]
-        take = (tn < now) & (qn > best)
-        best[take] = qn[take]
-        t_ref[take] = tn[take]
+    t_ref = np.zeros(npix, dtype=np.int32)
+    for lo in range(0, npix, _SLICE):
+        hi = min(lo + _SLICE, npix)
+        cells = popped[lo:hi]
+        now = np.arange(lo, hi, dtype=np.int32)
+        best = np.full(hi - lo, -1.0)
+        ref = t_ref[lo:hi]
+        for o in (-stride, stride, -1, 1):
+            nb = cells + o
+            tn = t[nb]
+            qn = qual[nb]
+            take = (tn < now) & (qn > best)
+            best[take] = qn[take]
+            ref[take] = tn[take]
     return t_ref
 
 

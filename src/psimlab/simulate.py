@@ -120,7 +120,7 @@ def phase_to_opd(phase: np.ndarray, lambda0: float) -> np.ndarray:
 
 
 def make_phase_object(spec: PhaseObjectSpec, width: int, height: int,
-                      lambda0: float = 520.0) -> PhaseMap:
+                      lambda0: float) -> PhaseMap:
     """Render the ground-truth unwrapped phase of a synthetic object."""
     if width < 8 or height < 8:
         raise ValueError("image must be at least 8x8")

@@ -1,8 +1,11 @@
 import copy
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import typing
 import warnings
 from pathlib import Path
@@ -139,6 +142,29 @@ class TestSimulate:
         # --seed 0 is the config's own seed, so it reproduces sim_dir
         assert runs[0] == (sim_dir / "sample_00000" / "frame_1.pfm").read_bytes()
         assert runs[7] != runs[0]
+
+    def test_out_of_memory_exits_4(self, tmp_path):
+        # a 200000^2 float64 grid is 320 GB; the child caps its own address
+        # space at 2 GiB first, so numpy's allocation fails and nothing is
+        # allocated for real
+        config = write_config(tmp_path / "c.json",
+                              {"count": 1, "width": 200000, "height": 200000})
+        out = tmp_path / "out"
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                "from psimlab.cli import main\n"
+                f"sys.exit(main(['simulate', '--config', {config!r}, "
+                f"'--out', {str(out)!r}]))\n")
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=path,
+                                      OPENBLAS_NUM_THREADS="1"))
+        assert run.returncode == 4, run.stderr
+        assert "out of memory: " in run.stderr
+        assert "Traceback" not in run.stderr
+        assert not (out / "manifest.json").exists()
 
 
 class TestReconstruct:

@@ -14,7 +14,7 @@ from psimlab.gan import (GanSpec, PatchDiscriminator, UNetGenerator,
 from psimlab.gan.data import (PairedSample, augment, denormalize, normalize,
                               rotations_12, split_dataset)
 from psimlab.gan.train import _entries
-from psimlab.nn import adam_step, ops, save_checkpoint
+from psimlab.nn import CheckpointError, adam_step, ops, save_checkpoint
 from psimlab.nn.layers import Conv2d, ConvTranspose2d, InstanceNorm
 from psimlab.reconstruct import (five_step_wrapped_phase,
                                  modulation_amplitude, unwrap_phase)
@@ -625,6 +625,17 @@ class TestCheckpointing:
             outs = [np.stack([f.data for f in chain_infer_frames(s, i1)])
                     for s in (full, alone)]
         assert outs[0].tobytes() == outs[1].tobytes()
+
+    def test_cut_paper_config_checkpoint_reads_as_truncated(self, tmp_path):
+        # a cut file also fails an entry's bound against the file size, so
+        # it reads as truncated only if the length check comes first
+        path = tmp_path / "gan.ckpt"
+        save_gan(path, init_gan(GanSpec(), seed=0))
+        raw = path.read_bytes()
+        for keep in (len(raw) // 50, len(raw) // 2, len(raw) - 8):
+            path.write_bytes(raw[:keep])
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_gan(path)
 
     def test_paper_config_save_streams(self, tmp_path):
         # 10.5 MB of parameters and moments are hashed and written array by

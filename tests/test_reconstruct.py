@@ -18,6 +18,8 @@ from psimlab.reconstruct import QualityMap
 
 from helpers import TWO_PI, wrap_to_pi
 
+LAMBDA0 = SourceSpec().lambda0
+
 
 def cosine_stack(a, b, phi, shifts=DEFAULT_SHIFTS, shape=(8, 8)):
     """Frames I_k = a + b cos(phi + delta_k) on a constant-phase field."""
@@ -76,7 +78,7 @@ class TestFiveStepWrappedPhase:
 
     def test_round_trip_against_simulator(self):
         spec = PhaseObjectSpec(kind="cell_blobs", blobs=[(20, 40, 8.0, 90.0)])
-        truth = make_phase_object(spec, 64, 48)
+        truth = make_phase_object(spec, 64, 48, LAMBDA0)
         stack = simulate_stack(truth, ForwardModelSpec(), seed=0)
         phase = five_step_wrapped_phase(stack)
         assert np.max(np.abs(phase.data - wrap_to_pi(truth.data))) < 1e-10
@@ -121,7 +123,7 @@ class TestModulationAmplitude:
 
     def test_equals_fringe_envelope_for_simulated_stack(self):
         spec = PhaseObjectSpec(kind="cell_blobs", blobs=[(16, 16, 5.0, 60.0)])
-        truth = make_phase_object(spec, 32, 32)
+        truth = make_phase_object(spec, 32, 32, LAMBDA0)
         model = ForwardModelSpec(i_object=1.0, i_reference=0.25)
         stack = simulate_stack(truth, model, seed=0)
         from psimlab.simulate import coherence_envelope, phase_to_opd
@@ -241,7 +243,7 @@ class TestPhaseToHeight:
 def test_full_round_trip_alignment():
     spec = PhaseObjectSpec(kind="waveguide_ridge", ridge_center=40.0,
                            ridge_width=20.0, ridge_height=200.0, edge_width=6.0)
-    truth = make_phase_object(spec, 96, 64)
+    truth = make_phase_object(spec, 96, 64, LAMBDA0)
     assert truth.data.max() > math.pi  # forces real wraps
     stack = simulate_stack(truth, ForwardModelSpec(), seed=0)
     wrapped = five_step_wrapped_phase(stack)
@@ -337,7 +339,7 @@ class TestUnwrapMatchesHeapOracle:
         spec = PhaseObjectSpec(kind="waveguide_ridge", ridge_center=side / 2,
                                ridge_width=side / 3, ridge_height=200.0,
                                edge_width=6.0)
-        truth = make_phase_object(spec, side, side)
+        truth = make_phase_object(spec, side, side, LAMBDA0)
         stack = simulate_stack(truth, ForwardModelSpec(noise_sigma=noise),
                                seed=side)
         assert_matches_heap_oracle(five_step_wrapped_phase(stack),
@@ -406,19 +408,49 @@ class TestUnwrapMatchesHeapOracle:
         assert_matches_heap_oracle(PhaseMap(w, wrapped=True), QualityMap(q))
 
 
+class TestSliceEdges:
+    """Passes 2 and 3 of ``unwrap_phase`` with slices so short that nearly
+    every reference lies in an earlier slice."""
+
+    @pytest.mark.parametrize("slice_", [1, 7, 64])
+    @settings(max_examples=50, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+           data=st.data())
+    def test_random_maps(self, slice_, shape, data):
+        w = data.draw(hnp.arrays(np.float64, shape, elements=_phase_values))
+        q = data.draw(hnp.arrays(np.float64, shape, elements=_quality_values))
+        assume(np.any(q > 0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reconstruct, "_SLICE", slice_)
+            assert_matches_heap_oracle(PhaseMap(w, wrapped=True),
+                                       QualityMap(q))
+
+    @pytest.mark.parametrize("slice_", [1, 7, 64])
+    def test_plateau_quality(self, monkeypatch, slice_):
+        monkeypatch.setattr(reconstruct, "_SLICE", slice_)
+        rng = np.random.default_rng(slice_)
+        q = np.kron(rng.integers(1, 3, (8, 8)), np.ones((5, 5))).astype(float)
+        w = wrap_to_pi(rng.uniform(-8, 8, q.shape))
+        assert_matches_heap_oracle(PhaseMap(w, wrapped=True), QualityMap(q))
+
+
 def test_unwrap_memory_is_bounded():
-    # the one-pass loop over Python lists peaked at 13.8 MB here
-    rng = np.random.default_rng(14)
-    wrapped = PhaseMap(wrap_to_pi(rng.uniform(-8, 8, (256, 256))),
-                       wrapped=True)
-    quality = QualityMap(rng.uniform(0.0, 1.0, (256, 256)))
-    tracemalloc.start()
-    try:
-        unwrap_phase(wrapped, quality)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 11e6
+    # the per-pixel tables of all three passes are flat typed arrays, and
+    # pass 2 scans a slice of pops at a time: a Python int or float per
+    # pixel, or a full-size scan temporary, is what would break the bounds
+    # (pass 1's two rank lists took 512^2 to 23.5 MB)
+    for side, bound in ((256, 11e6), (512, 16e6)):
+        rng = np.random.default_rng(14)
+        wrapped = PhaseMap(wrap_to_pi(rng.uniform(-8, 8, (side, side))),
+                           wrapped=True)
+        quality = QualityMap(rng.uniform(0.0, 1.0, (side, side)))
+        tracemalloc.start()
+        try:
+            unwrap_phase(wrapped, quality)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, side
 
 
 def assert_pops_like_one_heap(q):
@@ -490,7 +522,7 @@ class TestPopOrderBlockEdges:
         spec = PhaseObjectSpec(kind="waveguide_ridge", ridge_center=side / 2,
                                ridge_width=side / 3, ridge_height=200.0,
                                edge_width=6.0)
-        truth = make_phase_object(spec, side, side)
+        truth = make_phase_object(spec, side, side, LAMBDA0)
         stack = simulate_stack(truth, ForwardModelSpec(noise_sigma=noise),
                                seed=side)
         quality = modulation_amplitude(stack)

@@ -7,6 +7,8 @@ from psimlab import (ForwardModelSpec, Image, PhaseMap, PhaseObjectSpec,
                      SourceSpec, coherence_envelope, make_phase_object,
                      simulate_frame, simulate_stack, synth_dataset)
 
+LAMBDA0 = SourceSpec().lambda0
+
 
 def ridge_spec(center=14.0, width=8.0, height=130.0, edge=3.0):
     return PhaseObjectSpec(kind="waveguide_ridge", ridge_center=center,
@@ -16,7 +18,8 @@ def ridge_spec(center=14.0, width=8.0, height=130.0, edge=3.0):
 
 class TestMakePhaseObject:
     def test_flat_is_all_zero(self):
-        pm = make_phase_object(PhaseObjectSpec(kind="flat"), 32, 16)
+        pm = make_phase_object(PhaseObjectSpec(kind="flat"), 32, 16,
+                               LAMBDA0)
         assert not pm.wrapped
         assert np.all(pm.data == 0.0)
 
@@ -35,14 +38,15 @@ class TestMakePhaseObject:
 
     def test_out_of_bounds_geometry_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            make_phase_object(ridge_spec(center=62.0, width=12.0), 64, 64)
+            make_phase_object(ridge_spec(center=62.0, width=12.0), 64, 64,
+                              LAMBDA0)
         bad = PhaseObjectSpec(kind="cell_blobs", blobs=[(100, 5, 3.0, 10.0)])
         with pytest.raises(ValueError, match="outside"):
-            make_phase_object(bad, 64, 64)
+            make_phase_object(bad, 64, 64, LAMBDA0)
 
     def test_too_small_image_rejected(self):
         with pytest.raises(ValueError):
-            make_phase_object(PhaseObjectSpec(kind="flat"), 4, 4)
+            make_phase_object(PhaseObjectSpec(kind="flat"), 4, 4, LAMBDA0)
 
 
 class TestCoherenceEnvelope:
@@ -138,13 +142,13 @@ class TestSimulateFrame:
 
 class TestSimulateStack:
     def test_degenerate_noise_keeps_nominal_shifts(self):
-        pm = make_phase_object(ridge_spec(), 64, 64)
+        pm = make_phase_object(ridge_spec(), 64, 64, LAMBDA0)
         model = ForwardModelSpec()
         stack = simulate_stack(pm, model, seed=11)
         assert stack.realized_shifts == model.shift_schedule
 
     def test_same_seed_identical(self):
-        pm = make_phase_object(ridge_spec(), 32, 32)
+        pm = make_phase_object(ridge_spec(), 32, 32, LAMBDA0)
         model = ForwardModelSpec(jitter_sigma=0.05, noise_sigma=0.01)
         a = simulate_stack(pm, model, seed=42)
         b = simulate_stack(pm, model, seed=42)
@@ -154,7 +158,7 @@ class TestSimulateStack:
 
     def test_jitter_matches_reference_rng_stream(self):
         # oracle: independent run of the documented PCG64 stream
-        pm = make_phase_object(ridge_spec(), 32, 32)
+        pm = make_phase_object(ridge_spec(), 32, 32, LAMBDA0)
         model = ForwardModelSpec(jitter_sigma=0.05)
         stack = simulate_stack(pm, model, seed=123)
         oracle = np.random.default_rng(123).normal(0.0, 0.05, 5)
@@ -162,7 +166,7 @@ class TestSimulateStack:
         assert stack.realized_shifts == expected
 
     def test_noiseless_frames_are_analytic(self):
-        pm = make_phase_object(ridge_spec(), 32, 32)
+        pm = make_phase_object(ridge_spec(), 32, 32, LAMBDA0)
         model = ForwardModelSpec()
         stack = simulate_stack(pm, model, seed=0)
         for frame, shift in zip(stack.frames, model.shift_schedule):
