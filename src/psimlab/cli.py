@@ -23,7 +23,7 @@ from typing import Annotated, Literal, Optional
 
 import numpy as np
 
-from . import __version__, io
+from . import __version__, io, reconstruct
 from .config import Range, check_fields
 from .gan import (build_pairs, chain_infer_frames, infer_phase, init_gan,
                   load_gan, rotations_12, save_gan, split_dataset, train)
@@ -195,6 +195,19 @@ def cmd_simulate(args):
                      {"master": cfg.seed})
 
 
+def _wrap_and_quality(sample_dir, timings):
+    """The wrapped phase, quality and lambda0 of the stack in
+    ``sample_dir``.  Nothing else leaves, so the five frames are freed
+    before the unwrap."""
+    with _timed(timings, "io"):
+        stack, meta = _load_stack(sample_dir)
+    with _timed(timings, "wrap"):
+        wrapped = reconstruct.five_step_wrapped_phase(stack)
+    with _timed(timings, "quality"):
+        quality = reconstruct.modulation_amplitude(stack)
+    return wrapped, quality, meta.get("lambda0_nm")
+
+
 def cmd_reconstruct(args):
     samples = _sample_dirs(args.data)
     out = Path(args.out)
@@ -202,12 +215,9 @@ def cmd_reconstruct(args):
     outputs = []
     timings = {}
     for d in samples:
-        with _timed(timings, "io"):
-            stack, meta = _load_stack(d)
-        lambda0 = meta.get("lambda0_nm")
-        with _timed(timings, "compute"):
-            wrapped, quality, unwrapped, height = reconstruct_stack(stack,
-                                                                    lambda0)
+        wrapped, quality, lambda0 = _wrap_and_quality(d, timings)
+        with _timed(timings, "unwrap"):
+            unwrapped, height = reconstruct_stack(wrapped, quality, lambda0)
         dest = out / d.name
         with _timed(timings, "io"):
             dest.mkdir(exist_ok=True)
@@ -222,6 +232,8 @@ def cmd_reconstruct(args):
                 io.write_sidecar(dest / "height.pfm", role="height",
                                  units="nm", lambda0_nm=lambda0)
         outputs.append(str(dest))
+        # the next stack loads without this one's maps
+        del wrapped, quality, unwrapped, height
     return _manifest([args.data], outputs, timings)
 
 

@@ -25,6 +25,9 @@ _TAPS /= _TAPS.sum()
 
 FOREGROUND_FRACTION = 0.05
 
+# ssim forms its map this many rows at a time
+_BAND = 64
+
 
 def _correlate_valid(x, taps, count, axis):
     """``scipy.ndimage.correlate1d(x, taps, axis)`` at the ``count`` window
@@ -70,7 +73,10 @@ def ssim(a, b, params: SsimParams):
     runs over valid windows only (no padding), and the map has shape
     (H - n + 1, W - n + 1) for the n x n window, n = ``WINDOW_SIZE``.  The
     Gaussian window is the outer product of its 1D taps, so each local mean
-    is two n-tap passes, one per axis.
+    is two n-tap passes, one per axis.  The map is formed ``_BAND`` rows at
+    a time, each band from its rows of the images and the n - 1 below, so
+    the statistics are the size of a band; every map entry is the same
+    operations as over the whole image.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -81,23 +87,28 @@ def ssim(a, b, params: SsimParams):
         raise ValueError(f"images must be at least {n}x{n}")
     rows = a.shape[0] - n + 1
     cols = a.shape[1] - n + 1
+    c1 = (K1 * params.dynamic_range) ** 2
+    c2 = (K2 * params.dynamic_range) ** 2
 
     def local_mean(x):
         # the axis-1 pass slices columns rather than transposing, so the
-        # map is C-contiguous and its mean sums in row-major order
-        return _correlate_valid(_correlate_valid(x, _TAPS, rows, 0),
+        # band is C-contiguous
+        return _correlate_valid(_correlate_valid(x, _TAPS, len(x) - n + 1, 0),
                                 _TAPS, cols, 1)
 
-    mu_a = local_mean(a)
-    mu_b = local_mean(b)
-    var_a = local_mean(a * a) - mu_a ** 2
-    var_b = local_mean(b * b) - mu_b ** 2
-    cov = local_mean(a * b) - mu_a * mu_b
-
-    c1 = (K1 * params.dynamic_range) ** 2
-    c2 = (K2 * params.dynamic_range) ** 2
-    ssim_map = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / \
-        ((mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2))
+    ssim_map = np.empty((rows, cols))
+    for lo in range(0, rows, _BAND):
+        hi = min(lo + _BAND, rows)
+        ab = a[lo:hi + n - 1]
+        bb = b[lo:hi + n - 1]
+        mu_a = local_mean(ab)
+        mu_b = local_mean(bb)
+        var_a = local_mean(ab * ab) - mu_a ** 2
+        var_b = local_mean(bb * bb) - mu_b ** 2
+        cov = local_mean(ab * bb) - mu_a * mu_b
+        np.divide((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2),
+                  (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2),
+                  out=ssim_map[lo:hi])
     return float(ssim_map.mean()), ssim_map
 
 

@@ -11,6 +11,7 @@ and compares the hash at the end.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -30,7 +31,10 @@ class CheckpointError(RuntimeError):
 def save_checkpoint(path, params, meta=None):
     """``params`` is a list of (name, float64 array) in declaration order.
 
-    The blob is hashed and written one array at a time, never joined."""
+    The blob is hashed and written one array at a time, never joined.  The
+    file is written under a temporary name in its directory and then
+    replaces ``path``, so a write that fails leaves an older file at
+    ``path`` as it was."""
     arrays = [np.ascontiguousarray(p, dtype="<f8") for _, p in params]
     digest = hashlib.sha256()
     for arr in arrays:
@@ -42,11 +46,18 @@ def save_checkpoint(path, params, meta=None):
         "meta": meta or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(len(header_bytes).to_bytes(8, "little"))
-        fh.write(header_bytes)
-        for arr in arrays:
-            fh.write(arr)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(len(header_bytes).to_bytes(8, "little"))
+            fh.write(header_bytes)
+            for arr in arrays:
+                fh.write(arr)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _header(path, fh):

@@ -30,9 +30,16 @@ class QualityMap(Image):
 
 def _quadrature(stack: InterferogramStack):
     """The five-step quadrature pair (2(I2 - I4), 2 I3 - I1 - I5), which
-    the wrapped phase and the modulation both read."""
+    the wrapped phase and the modulation both read, in two new arrays that
+    the caller may overwrite.  It is formed in place, by the same IEEE
+    operations in the same order as the expressions."""
     i1, i2, i3, i4, i5 = (f.data for f in stack.frames)
-    return 2.0 * (i2 - i4), 2.0 * i3 - i1 - i5
+    num = np.subtract(i2, i4)
+    num *= 2.0
+    den = np.multiply(i3, 2.0)
+    den -= i1
+    den -= i5
+    return num, den
 
 
 def five_step_wrapped_phase(stack: InterferogramStack) -> PhaseMap:
@@ -45,8 +52,9 @@ def five_step_wrapped_phase(stack: InterferogramStack) -> PhaseMap:
     (numerator = denominator = 0) get phi = 0.
     """
     num, den = _quadrature(stack)
-    phi = np.arctan2(num, den)
-    phi[(num == 0.0) & (den == 0.0)] = 0.0
+    unmodulated = (num == 0.0) & (den == 0.0)
+    phi = np.arctan2(num, den, out=num)
+    phi[unmodulated] = 0.0
     # atan2 returns [-pi, pi]; fold -pi onto +pi to keep the (-pi, pi] contract
     phi[phi == -np.pi] = np.pi
     return PhaseMap(phi, wrapped=True)
@@ -55,7 +63,9 @@ def five_step_wrapped_phase(stack: InterferogramStack) -> PhaseMap:
 def modulation_amplitude(stack: InterferogramStack) -> QualityMap:
     """Fringe modulation B = sqrt((2(I2 - I4))^2 + (2 I3 - I1 - I5)^2) / 4."""
     num, den = _quadrature(stack)
-    return QualityMap(0.25 * np.hypot(num, den))
+    b = np.hypot(num, den, out=num)
+    b *= 0.25
+    return QualityMap(b)
 
 
 def unwrap_phase(wrapped: PhaseMap, quality: QualityMap) -> PhaseMap:
@@ -256,12 +266,15 @@ def phase_to_height(phase: PhaseMap, lambda0: float) -> Image:
     return Image(lambda0 * phase.data / (4.0 * math.pi))
 
 
-def reconstruct_stack(stack: InterferogramStack, lambda0: float = None):
-    """Full classical pipeline: wrapped phase, quality, unwrapped phase, height."""
-    wrapped = five_step_wrapped_phase(stack)
-    quality = modulation_amplitude(stack)
+def reconstruct_stack(wrapped: PhaseMap, quality: QualityMap,
+                      lambda0: float | None):
+    """The classical pipeline after the frames: the unwrapped phase, and the
+    height unless ``lambda0`` is None, from the wrapped phase and quality
+    that ``five_step_wrapped_phase`` and ``modulation_amplitude`` form.
+    Taking the two maps and not the stack lets a caller free the five
+    frames before the unwrap."""
     unwrapped = unwrap_phase(wrapped, quality)
     height = None
     if lambda0 is not None:
         height = phase_to_height(unwrapped, lambda0)
-    return wrapped, quality, unwrapped, height
+    return unwrapped, height

@@ -1,8 +1,12 @@
 """Helpers that several test modules share and the package does not run."""
 
+import tracemalloc
+
 import numpy as np
 
 from psimlab.metrics import Profile
+from psimlab.reconstruct import (five_step_wrapped_phase,
+                                 modulation_amplitude, unwrap_phase)
 from psimlab.simulate import (DEFAULT_SHIFTS, ForwardModelSpec,
                               InterferogramStack)
 
@@ -37,3 +41,20 @@ def chained_stack(i1, frames):
     predicts from it, at the default shifts."""
     return InterferogramStack([i1, *frames], DEFAULT_SHIFTS,
                               ForwardModelSpec(), seed=None)
+
+
+def classical_phase(stack):
+    """The classical unwrapped phase of ``stack``: the five-step wrapped
+    phase, unwrapped under its modulation as quality."""
+    return unwrap_phase(five_step_wrapped_phase(stack),
+                        modulation_amplitude(stack))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced by tracemalloc while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -26,9 +26,9 @@ from psimlab.gan.models import PatchDiscriminator, UNetGenerator
 from psimlab.nn import (Conv2d, ConvTranspose2d, InstanceNorm, LeakyReLU,
                         ReLU, Sequential, Sigmoid, Tanh, grad_check, l2_loss,
                         ops)
-from psimlab.reconstruct import five_step_wrapped_phase, reconstruct_stack
+from psimlab.reconstruct import five_step_wrapped_phase
 
-from helpers import chained_stack, wrap_to_pi
+from helpers import chained_stack, classical_phase, wrap_to_pi
 
 C7_STEPS = 1500
 C8_STEPS = 2500
@@ -63,7 +63,7 @@ def run_classical_round_trip():
     errors = []
     artifacts = []
     for stack, truth in dataset:
-        _, _, unwrapped, _ = reconstruct_stack(stack)
+        unwrapped = classical_phase(stack)
         aligned = align_global_offset(unwrapped, truth)
         errors.append(rms_error(aligned.data, truth.data))
         artifacts.append(aligned.data)
@@ -132,7 +132,7 @@ def _mean_rms(noise_sigma, jitter_sigma, seeds=20):
     for seed in range(seeds):
         stack, truth = synth_dataset(1, 64, 64, "cell_blobs", model,
                                      seed=1000 + seed)[0]
-        _, _, unwrapped, _ = reconstruct_stack(stack)
+        unwrapped = classical_phase(stack)
         aligned = align_global_offset(unwrapped, truth)
         out.append(rms_error(aligned.data, truth.data))
     return float(np.mean(out))
@@ -296,7 +296,7 @@ def run_phase_training():
     for stack, truth in test_set:
         pred = infer_phase(state, stack.frames[0])
         gan_scores.append(_aligned_ssim(pred.data, truth)[0])
-        _, _, unwrapped, _ = reconstruct_stack(stack)
+        unwrapped = classical_phase(stack)
         classical_scores.append(_aligned_ssim(unwrapped.data, truth)[0])
     elapsed = time.monotonic() - started
 
@@ -352,8 +352,8 @@ def test_criterion_08_frame_chaining(monkeypatch):
                       "generator_apply", oracle)
         chained = chained_stack(stack.frames[0], chain_infer_frames(
             state, stack.frames[0]))
-    _, _, oracle_unwrapped, _ = reconstruct_stack(chained)
-    _, _, classical_unwrapped, _ = reconstruct_stack(stack)
+    oracle_unwrapped = classical_phase(chained)
+    classical_unwrapped = classical_phase(stack)
     oracle_err = rms_error(
         align_global_offset(oracle_unwrapped, classical_unwrapped).data,
         classical_unwrapped.data)
@@ -367,8 +367,8 @@ def test_criterion_08_frame_chaining(monkeypatch):
         chained = chained_stack(stack.frames[0], frames)
         hop_l1 += [float(np.mean(np.abs(f.data - t.data)))
                    for f, t in zip(frames, stack.frames[1:])]
-        _, _, unwrapped, _ = reconstruct_stack(chained)
-        _, _, classical, _ = reconstruct_stack(stack)
+        unwrapped = classical_phase(chained)
+        classical = classical_phase(stack)
         scores.append(_aligned_ssim(unwrapped.data, classical)[0])
     hop_l1 /= len(test_set)
     mean_ssim = float(np.mean(scores))

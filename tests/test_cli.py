@@ -1,4 +1,6 @@
 import copy
+import errno
+import importlib
 import json
 import math
 import os
@@ -26,7 +28,7 @@ from psimlab.metrics import (SsimParams, align_global_offset, foreground_mask,
                              masked_mean_ssim, rms_error, ssim)
 from psimlab.nn.checkpoint import load_checkpoint, save_checkpoint
 
-from helpers import read_profile_csv
+from helpers import read_profile_csv, traced_peak
 
 ROOT = Path(__file__).resolve().parents[1]
 TINY_SPEC = {"mode": "phase", "depth": 2, "base": 4,
@@ -196,10 +198,11 @@ class TestReconstruct:
                      "--out", str(out)]) == 0
         assert main(["eval", "--data", str(sim_dir), "--pred", str(out),
                      "--out", str(ev)]) == 0
-        for run in (out, ev):
+        for run, stages in ((out, ["io", "quality", "unwrap", "wrap"]),
+                            (ev, ["compute", "io"])):
             manifest = json.loads((run / "manifest.json").read_text())
             timings = manifest["timings_s"]
-            assert sorted(timings) == ["compute", "io"]
+            assert sorted(timings) == stages
             assert all(v >= 0.0 for v in timings.values())
             assert sum(timings.values()) <= manifest["wall_clock_s"] + 0.002
 
@@ -317,6 +320,22 @@ class TestReconstruct:
         assert main(argv) == 4
 
 
+def test_512_reconstruct_and_eval_memory_is_bounded(tmp_path):
+    # the five frames are freed before the unwrap, and ssim forms its map
+    # in row bands: holding the frames through the unwrap and every
+    # full-size SSIM statistic at once, the two calls peaked at about 27
+    # and 23 MB
+    data = simulate(tmp_path / "data", tmp_path, count=1, side=512, seed=3,
+                    model={"noise_sigma": 1.5})
+    rec, ev = tmp_path / "recon", tmp_path / "eval"
+    assert traced_peak(main, ["reconstruct", "--data", str(data),
+                              "--out", str(rec)]) <= 20e6
+    assert (rec / "sample_00000" / "phase_unwrapped.pfm").exists()
+    assert traced_peak(main, ["eval", "--data", str(data), "--pred",
+                              str(rec), "--out", str(ev)]) <= 14e6
+    assert (ev / "metrics.json").exists()
+
+
 class TestTrainInfer:
     def train_cfg(self, tmp_path, **extra):
         cfg = {"spec": dict(TINY_SPEC), "steps": 4, "seed": 0}
@@ -346,6 +365,54 @@ class TestTrainInfer:
               "--out", str(straight), "--steps", "8"])
         assert (resumed / "checkpoint.ckpt").read_bytes() == \
             (straight / "checkpoint.ckpt").read_bytes()
+
+    def test_failed_checkpoint_write_keeps_the_old_one(self, sim_dir,
+                                                       tmp_path,
+                                                       monkeypatch):
+        cfg = self.train_cfg(tmp_path)
+        run, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+        assert main(["train", "--config", cfg, "--data", str(sim_dir),
+                     "--out", str(run)]) == 0
+        ckpt = run / "checkpoint.ckpt"
+        old = ckpt.read_bytes()
+        resume = ["train", "--config", cfg, "--data", str(sim_dir),
+                  "--steps", "1", "--checkpoint", str(ckpt), "--out"]
+
+        class FullDisk:
+            """A file whose third write fails as on a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def full_disk_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            return FullDisk(fh) if "w" in mode else fh
+
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.import_module("psimlab.nn.checkpoint"),
+                          "open", full_disk_open, raising=False)
+            assert main(resume + [str(run)]) == 3
+        assert ckpt.read_bytes() == old
+        assert sorted(p.name for p in run.iterdir()) == [
+            "checkpoint.ckpt", "loss.csv", "manifest.json"]
+        # a save that succeeds writes what a save to a new path writes
+        assert main(resume + [str(elsewhere)]) == 0
+        assert main(resume + [str(run)]) == 0
+        assert ckpt.read_bytes() == \
+            (elsewhere / "checkpoint.ckpt").read_bytes() != old
+        assert not list(run.glob("*.tmp"))
 
     def test_resume_normalizes_with_the_checkpoint_ranges(self, sim_dir,
                                                            tmp_path):
@@ -1017,7 +1084,8 @@ def command_argv(command, fuzz_root, sim_dir, tmp_path):
 
 
 class TestManifest:
-    TIMINGS = {"simulate": ["simulate"], "reconstruct": ["compute", "io"],
+    TIMINGS = {"simulate": ["simulate"],
+               "reconstruct": ["io", "quality", "unwrap", "wrap"],
                "train": ["train"], "infer": ["compute", "io", "load"],
                "eval": ["compute", "io"]}
 

@@ -1,6 +1,5 @@
 import importlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from psimlab.nn.layers import Conv2d, ConvTranspose2d, InstanceNorm
 from psimlab.reconstruct import (five_step_wrapped_phase,
                                  modulation_amplitude, unwrap_phase)
 
-from helpers import chained_stack
+from helpers import chained_stack, traced_peak
 
 LN2 = math.log(2.0)
 
@@ -40,16 +39,6 @@ def random_pairs(n, side=16, seed=0):
     return [PairedSample(rng.uniform(-1, 1, (side, side)),
                         rng.uniform(-1, 1, (side, side)))
             for _ in range(n)]
-
-
-def traced_peak(fn, *args):
-    """Peak bytes traced by tracemalloc while ``fn(*args)`` runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def zero_params(net):

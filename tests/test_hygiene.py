@@ -306,3 +306,32 @@ def test_traced_step_records_finite_conv_flops(monkeypatch):
         flops = [span.counts["conv_flop"] for span in traced.spans
                  if span.name == f"nn.ops.{op}"]
         assert flops and all(math.isfinite(f) and f > 0 for f in flops), op
+
+
+def test_traced_reconstruct_and_eval_time_every_stage(monkeypatch,
+                                                      tmp_path):
+    """A ``reconstruct`` and an ``eval`` run under the tracer, and each
+    stage the benchmark reports records at least one span, so a pipeline
+    that stops calling a stage through the name the tracer wraps fails
+    here."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+
+    from psimlab.cli import main
+
+    config = tmp_path / "sim.json"
+    config.write_text('{"count": 1, "width": 16, "height": 16}')
+    data, rec = tmp_path / "data", tmp_path / "rec"
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(data)]) == 0
+    with tracer.Tracer().installed() as traced:
+        assert main(["reconstruct", "--data", str(data),
+                     "--out", str(rec)]) == 0
+        assert main(["eval", "--data", str(data), "--pred", str(rec),
+                     "--out", str(tmp_path / "eval")]) == 0
+    names = {span.name for span in traced.spans}
+    for stage in ("reconstruct.reconstruct_stack",
+                  "reconstruct.five_step_wrapped_phase",
+                  "reconstruct.modulation_amplitude",
+                  "reconstruct.unwrap_phase", "metrics.ssim"):
+        assert stage in names, stage

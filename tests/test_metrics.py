@@ -8,8 +8,11 @@ from psimlab import (DEFAULT_SHIFTS, ForwardModelSpec, Image,
                      InterferogramStack, PhaseMap, SsimParams,
                      align_global_offset, rms_error, ssim,
                      stitched_line_profile)
+from psimlab import metrics
 from psimlab.metrics import (Profile, _correlate_valid, foreground_mask,
                              masked_mean_ssim)
+
+from helpers import traced_peak
 
 TWO_PI = 2.0 * math.pi
 
@@ -322,3 +325,33 @@ class TestPassesMatchCorrelate1d:
         ref_score, ref_map = correlate1d_ssim(pred, truth, params)
         assert ssim_map.tobytes() == ref_map.tobytes()
         assert score == ref_score
+
+
+class TestSsimBands:
+    """``ssim`` forms its map ``_BAND`` rows at a time, each band from its
+    own rows and the n - 1 below, so any band size gives the map and score
+    of one pass over the whole image."""
+
+    @pytest.mark.parametrize("band", [1, 7, 64])
+    @pytest.mark.parametrize("shape", [(11, 11), (12, 40), (17, 13),
+                                       (18, 25), (74, 20), (75, 33),
+                                       (150, 40)])
+    def test_bitwise_equal_to_correlate1d(self, monkeypatch, band, shape):
+        monkeypatch.setattr(metrics, "_BAND", band)
+        rng = np.random.default_rng(1000 * band + shape[0] + shape[1])
+        a = rng.normal(0, 1.0, shape) + 1.0
+        b = a + rng.normal(0, 0.3, shape)
+        params = SsimParams(dynamic_range=4.0)
+        score, ssim_map = ssim(a, b, params)
+        ref_score, ref_map = correlate1d_ssim(a, b, params)
+        assert ssim_map.flags.c_contiguous
+        assert ssim_map.tobytes() == ref_map.tobytes()
+        assert score == ref_score
+
+    def test_memory_is_bounded(self):
+        # five full-size local statistics at 512^2 peaked at 16.4 MB; the
+        # 2 MB map and one band's statistics stay under the bound
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(512, 512))
+        b = a + rng.normal(0, 0.3, a.shape)
+        assert traced_peak(ssim, a, b, SsimParams(dynamic_range=4.0)) <= 6e6
